@@ -52,6 +52,21 @@ def ipc_open_mem_handle(handle: IpcHandle, opener_rank: int) -> np.ndarray:
         raise KeyError(f"IPC handle {handle.token} refers to a freed allocation")
 
 
+def ipc_remap_mem_handle(handle: IpcHandle, buffer: np.ndarray) -> None:
+    """Re-point a live handle at new backing bytes of the same size.
+
+    Models an allocation gaining host storage after export: every peer
+    that opened the handle keeps a valid mapping.
+    """
+    if handle.token not in _registry:
+        raise KeyError(f"IPC handle {handle.token} refers to a freed allocation")
+    if buffer.nbytes != handle.nbytes:
+        raise ValueError(
+            f"remapped buffer has {buffer.nbytes} bytes, handle {handle.nbytes}"
+        )
+    _registry[handle.token] = buffer
+
+
 def ipc_close_mem_handle(handle: IpcHandle) -> None:
     """Invalidate an exported handle (allocation freed)."""
     _registry.pop(handle.token, None)

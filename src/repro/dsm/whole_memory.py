@@ -22,6 +22,7 @@ from repro.dsm.ipc import (
     ipc_close_mem_handle,
     ipc_get_mem_handle,
     ipc_open_mem_handle,
+    ipc_remap_mem_handle,
 )
 from repro.dsm.pointer_table import MemoryPointerTable
 
@@ -70,7 +71,11 @@ class WholeMemory:
         self.partition_sizes = sizes
         self.total_bytes = sum(sizes)
 
-        # Step 1: per-rank cudaMalloc + IPC export.
+        # Step 1: per-rank cudaMalloc + IPC export.  The allocation is
+        # accounted in DeviceMemory; host bytes back a partition only once
+        # rows are stored in it (:meth:`materialize`).  Until then each
+        # partition is a zero-stride read-only view, so a capacity-only
+        # allocation costs no host RAM.
         self._allocations = []
         self.buffers: list[np.ndarray] = []
         handles = []
@@ -78,10 +83,11 @@ class WholeMemory:
             self._allocations.append(
                 node.gpu_memory[rank].allocate(sizes[rank], tag=tag)
             )
-            buf = np.zeros(sizes[rank], dtype=np.uint8)
+            buf = np.broadcast_to(np.zeros(1, dtype=np.uint8), (sizes[rank],))
             self.buffers.append(buf)
             handles.append(ipc_get_mem_handle(rank, buf))
         self._handles = handles
+        self.materialized = False
 
         # Step 2: AllGather of handles — after this every rank holds the
         # full handle list (simulated synchronously).
@@ -105,6 +111,22 @@ class WholeMemory:
                 clock.advance(self.setup_time, phase="dsm_setup")
             node.sync()
         self._freed = False
+
+    def materialize(self) -> None:
+        """Back every partition with zeroed host bytes (idempotent).
+
+        The IPC handles and pointer tables are re-pointed in place, so
+        peers keep their mappings and nothing is charged.
+        """
+        if self.materialized:
+            return
+        for rank, size in enumerate(self.partition_sizes):
+            buf = np.zeros(size, dtype=np.uint8)
+            ipc_remap_mem_handle(self._handles[rank], buf)
+            self.buffers[rank] = buf
+            for table in self.pointer_tables:
+                table.set_pointer(rank, buf)
+        self.materialized = True
 
     # -- address arithmetic -------------------------------------------------
 

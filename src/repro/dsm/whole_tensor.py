@@ -82,6 +82,7 @@ class WholeTensor:
             self.memory = WholeMemory(
                 node, partition_bytes, tag=tag, charge_setup=charge_setup
             )
+            self.memory.materialize()
             self._parts = [
                 buf.view(self.dtype).reshape(rows, self.num_cols)
                 for buf, rows in zip(self.memory.buffers, self.rows_per_rank)

@@ -9,7 +9,10 @@ backward passes the paper prescribes (§III-C4):
 - the edge-weight gradient of a weighted :func:`spmm_sum` is a g-SDDMM on
   the same CSR;
 - :func:`edge_softmax` is the segment softmax GAT needs, with the exact
-  within-segment softmax Jacobian in backward.
+  within-segment softmax Jacobian in backward;
+- :func:`gat_aggregate` is GAT's fused g-SpMM/g-SDDMM pair: the
+  attention-weighted aggregation and its edge-weight gradient, streamed
+  over edge chunks without materializing per-edge ``(E, H, D)`` messages.
 """
 
 from __future__ import annotations
@@ -309,6 +312,54 @@ def edge_gather_add(
     return Tensor._make(out, (dst_values, src_values), backward)
 
 
+def gat_aggregate(
+    indptr: np.ndarray, indices: np.ndarray, alpha: Tensor, h: Tensor
+) -> Tensor:
+    """Fused attention-weighted aggregation ``out[t] = Σ_{e→t} α_e ⊙ h[src_e]``.
+
+    ``alpha`` is ``(E, H)`` in CSR edge order and ``h`` is ``(N, H, D)``;
+    the result is ``(T, H, D)``.  Forward and backward stream the edges in
+    :func:`repro.ops.segment.chunk_rows`-sized chunks, so no ``(E, H, D)``
+    message tensor ever exists:
+
+    - forward (g-SpMM): each chunk's messages ``h[src] · α`` are formed on
+      the fly and fed to the chunked prefix sum;
+    - ``dL/dα`` (g-SDDMM): ``<g[t_e], h[src_e]>`` per head, chunk by chunk;
+    - ``dL/dh``: ``α_e · g[t_e]`` scattered into the sources in the stable
+      source-sorted order of :func:`repro.ops.segment.scatter_add_rows`.
+
+    Every float operation is the one the unfused gather-multiply plus
+    segment-sum composition performs, so the results are bit-identical.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    idx = np.asarray(indices, dtype=np.int64)
+    a, x = alpha.data, h.data
+    row_shape = x.shape[1:]
+
+    def messages(lo, hi):
+        # multiply in h's dtype; the prefix-sum kernel widens afterwards
+        m = x[idx[lo:hi]]
+        m *= a[lo:hi, ..., None]
+        return m
+
+    out = _segment.segment_sum_rows(messages, indptr, row_shape, x.dtype)
+
+    def backward(g):
+        seg_ids = _segment.segment_ids_from_indptr(indptr)
+        step = _segment.chunk_rows(int(np.prod(row_shape)))
+        g_alpha = np.empty(a.shape, dtype=np.result_type(g, x))
+        for lo in range(0, idx.shape[0], step):
+            hi = lo + step
+            g_alpha[lo:hi] = (g[seg_ids[lo:hi]] * x[idx[lo:hi]]).sum(axis=-1)
+        g_h = _segment.scatter_add_edges(
+            x.shape[0], idx, lambda e: g[seg_ids[e]] * a[e, ..., None],
+            row_shape, x.dtype,
+        )
+        return (g_alpha, g_h)
+
+    return Tensor._make(out, (alpha, h), backward)
+
+
 def graph_readout(h: Tensor, graph_offsets: np.ndarray,
                   mode: str = "mean") -> Tensor:
     """Pool node embeddings into per-graph embeddings (graph-level tasks).
@@ -333,38 +384,3 @@ def graph_readout(h: Tensor, graph_offsets: np.ndarray,
 
         return Tensor._make(out, (h,), backward)
     raise ValueError("mode must be 'mean' or 'sum'")
-
-
-def segment_sum(indptr: np.ndarray, values: Tensor) -> Tensor:
-    """Autograd segment sum over CSR edge order (GAT's aggregation)."""
-    out = _segment.segment_sum(values.data, indptr)
-    seg_ids = _segment.segment_ids_from_indptr(indptr)
-
-    def backward(g):
-        return (g[seg_ids],)
-
-    return Tensor._make(out, (values,), backward)
-
-
-def edge_mul_gather(
-    indices: np.ndarray, alpha: Tensor, src_feat: Tensor
-) -> Tensor:
-    """Per-edge message ``α_e ⊙ x[src_e]`` with broadcast over the feature
-    axis (``alpha``: ``(E, H)``, ``src_feat``: ``(N, H, D)``)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    out = src_feat.data[idx]  # (E, H, D)
-    out *= alpha.data[..., None]
-
-    def backward(g):
-        # re-gather instead of capturing the (E, H, D) tensor in the
-        # closure — halves the op's resident footprint on big batches
-        gathered = src_feat.data[idx]
-        g_alpha = (g * gathered).sum(axis=-1)
-        # reuse the gathered buffer for the source-gradient messages
-        np.multiply(g, alpha.data[..., None], out=gathered)
-        g_src = _segment.scatter_add_rows(
-            src_feat.data.shape[0], idx, gathered
-        )
-        return (g_alpha, g_src)
-
-    return Tensor._make(out, (alpha, src_feat), backward)

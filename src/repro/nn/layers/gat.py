@@ -7,7 +7,10 @@ Per head h:
     h_t     = Σ_s α_{s,t} · W x_s                      (weighted g-SpMM)
 
 Heads are concatenated.  All three sparse stages run on the block's CSR
-(§III-C4); their backward passes are exercised through autograd.
+(§III-C4); their backward passes are exercised through autograd.  The
+weighted g-SpMM and its edge-weight g-SDDMM gradient are one fused op,
+:func:`repro.nn.functional.gat_aggregate`, which streams edge chunks and
+never materializes the ``(E, H, D)`` per-edge messages.
 """
 
 from __future__ import annotations
@@ -64,8 +67,7 @@ class GATConv(Module):
             self.negative_slope,
         )
         alpha = F.edge_softmax(block.indptr, logits)  # (E, H)
-        msgs = F.edge_mul_gather(block.indices, alpha, h)  # (E, H, D)
-        out = F.segment_sum(block.indptr, msgs)  # (T, H, D)
+        out = F.gat_aggregate(block.indptr, block.indices, alpha, h)  # (T, H, D)
         return out.reshape(-1, self.out_features) + self.bias
 
     def estimate_cost(self, num_targets: int, num_src: int,

@@ -73,8 +73,15 @@ class CriticalPath:
 
     @property
     def covered(self) -> float:
-        """Total seconds the path explains — equals ``makespan`` exactly."""
-        return sum(e.duration for e in self.entries)
+        """Total seconds the path explains — equals ``makespan`` exactly.
+
+        The entries tile ``[0, makespan]`` contiguously, so the span from
+        the first start to the last end is the coverage; summing the entry
+        durations instead would not telescope in floating point.
+        """
+        if not self.entries:
+            return 0.0
+        return self.entries[-1].end - self.entries[0].start
 
     def blame(self, key) -> dict:
         """Aggregate path durations by ``key(entry)`` (skips empty keys)."""

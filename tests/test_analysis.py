@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from repro.faults import FaultPlan, StragglerGpu
 from repro.graph import MultiGpuGraphStore
@@ -123,6 +123,10 @@ class TestCriticalPathExactness:
 
 
 @given(stream_programs())
+# summing the entry durations gives 5.34235831679805 here: coverage must
+# be defined telescopically, not as a float sum
+@example((1, [(0, 1.0598570175975532, [], False), (0, 0.0, [], True)],
+          5.342358316798051))
 def test_critical_path_covers_random_dag(program):
     """On an arbitrary scheduler DAG the path length equals the makespan."""
     _, _, events, streams = _run_program(program)

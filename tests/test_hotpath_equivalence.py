@@ -1,8 +1,10 @@
 """Equivalence tests for the vectorized hot-path kernels.
 
 Each vectorized kernel is checked against a straightforward loop reference
-(the shape of the pre-optimization code): the F-order ``segment_sum``
-accumulator must be *bitwise* identical, the gather reply assembly must
+(the shape of the pre-optimization code): the chunked prefix-sum kernel
+behind ``segment_sum`` and the fused ``gat_aggregate`` must be *bitwise*
+identical to one global cumsum over materialized per-edge messages, the
+gather reply assembly must
 reproduce the loop-built replies and byte accounting, and the batched
 hash-table probe must resolve exactly like the slot-at-a-time loop —
 including wrap-around chains and missing keys.
@@ -12,16 +14,25 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dsm.comm import Communicator
 from repro.dsm.whole_tensor import WholeTensor
 from repro.hardware import SimNode
+from repro.nn import functional as F
+from repro.nn.tensor import Tensor
 from repro.ops.gather import distributed_memory_gather
 from repro.ops.hashtable import EMPTY_KEY, GpuHashTable
-from repro.ops.segment import segment_sum
+from repro.ops.segment import (
+    chunk_rows,
+    prefix_sums_at,
+    segment_ids_from_indptr,
+    segment_sum,
+)
 
 # ---------------------------------------------------------------------------
-# segment_sum: F-order accumulator is bit-identical to the C-order reference
+# segment_sum: chunked carry kernel is bit-identical to one global cumsum
 # ---------------------------------------------------------------------------
 
 
@@ -44,6 +55,55 @@ def _random_indptr(rng, num_edges, num_segments):
     return np.concatenate(([0], cuts, [num_edges])).astype(np.int64)
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The raw bit patterns of a float array (so ``-0.0 != 0.0``)."""
+    return a.view({4: np.uint32, 8: np.uint64}[a.dtype.itemsize])
+
+
+@st.composite
+def edge_streams(draw, row_shapes=((), (7,), (4, 3), (2, 128))):
+    """Per-edge values plus segment bounds around the chunk boundaries."""
+    row_shape = draw(st.sampled_from(row_shapes))
+    chunk = chunk_rows(int(np.prod(row_shape)))
+    num_edges = draw(
+        st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk])
+        | st.integers(0, 2 * chunk + 1)
+    )
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((num_edges,) + row_shape).astype(dtype)
+    cuts = rng.integers(0, num_edges + 1, size=draw(st.integers(0, 12)))
+    if num_edges and draw(st.booleans()):
+        # a -0.0 first edge read out on its own keeps its sign bit
+        values[0] = -0.0
+        cuts = np.append(cuts, 1)
+    cuts = np.sort(cuts)
+    # leading and trailing empty segments: repeated 0s and repeated E's
+    indptr = np.concatenate((
+        np.zeros(draw(st.integers(1, 3)), dtype=np.int64), cuts,
+        np.full(draw(st.integers(1, 3)), num_edges),
+    )).astype(np.int64)
+    return values, indptr
+
+
+@given(edge_streams())
+def test_prefix_sums_at_matches_global_cumsum_bitwise(stream):
+    values, indptr = stream
+    num_edges = values.shape[0]
+    width = int(np.prod(values.shape[1:]))
+    flat = values.reshape(num_edges, width)
+    got = prefix_sums_at(lambda a, b: values[a:b], num_edges, width, indptr)
+    ref = np.zeros((num_edges + 1, width), dtype=np.float64)
+    np.cumsum(flat, axis=0, dtype=np.float64, out=ref[1:])
+    assert got.dtype == np.float64
+    assert np.array_equal(_bits(got), _bits(ref[indptr]))
+    out = segment_sum(values, indptr)
+    assert out.dtype == values.dtype
+    assert np.array_equal(
+        _bits(out), _bits(_segment_sum_reference(values, indptr))
+    )
+
+
 @pytest.mark.parametrize("shape", [(500,), (500, 7), (333, 4, 3)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_segment_sum_bitwise_matches_reference(seeded_rng, shape, dtype):
@@ -57,6 +117,76 @@ def test_segment_sum_bitwise_matches_reference(seeded_rng, shape, dtype):
         got.view(np.uint32 if dtype == np.float32 else np.uint64),
         ref.view(np.uint32 if dtype == np.float32 else np.uint64),
     )
+
+
+def _scatter_add_reference(num_rows, indices, values):
+    """``scatter_add_rows`` over a materialized, source-sorted copy."""
+    order = np.argsort(indices, kind="stable")
+    si = indices[order]
+    out = np.zeros((num_rows,) + values.shape[1:], dtype=values.dtype)
+    if si.size:
+        starts = np.flatnonzero(np.concatenate(([True], si[1:] != si[:-1])))
+        out[si[starts]] = _segment_sum_reference(
+            values[order], np.append(starts, si.size)
+        )
+    return out
+
+
+def _gat_aggregate_reference(indptr, indices, alpha, h, g):
+    """The unfused GAT aggregation: ``(E, H, D)`` messages reduced by one
+    global cumsum, and the backward that re-gathers and scatter-adds them.
+
+    It pins the two rules the fused op must follow: each message is a
+    float32 product widened afterwards (never multiplied into a float64
+    buffer), and each chunk's carry enters the cumsum as its first row
+    rather than being added to the chunk's sums afterwards.
+    """
+    seg_ids = segment_ids_from_indptr(indptr)
+    msgs = h[indices]
+    msgs *= alpha[..., None]
+    out = _segment_sum_reference(msgs, indptr)
+    g_msgs = g[seg_ids]
+    g_alpha = (g_msgs * h[indices]).sum(axis=-1)
+    g_h = _scatter_add_reference(h.shape[0], indices,
+                                 g_msgs * alpha[..., None])
+    return out, g_alpha, g_h
+
+
+@given(
+    st.sampled_from([(4, 64), (2, 3), (1, 256)]),
+    st.sampled_from(["none", "one", "chunk-1", "chunk", "chunk+1", "3chunk"])
+    | st.integers(0, 700),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_gat_aggregate_bitwise_matches_unfused(heads_dim, edges, nsrc, seed):
+    num_heads, head_dim = heads_dim
+    chunk = chunk_rows(num_heads * head_dim)
+    num_edges = edges if isinstance(edges, int) else {
+        "none": 0, "one": 1, "chunk-1": chunk - 1, "chunk": chunk,
+        "chunk+1": chunk + 1, "3chunk": 3 * chunk,
+    }[edges]
+    rng = np.random.default_rng(seed)
+    indptr = _random_indptr(rng, num_edges, int(rng.integers(1, 30)))
+    num_targets = indptr.shape[0] - 1
+    indices = rng.integers(0, nsrc, size=num_edges)
+    alpha = rng.random((num_edges, num_heads)).astype(np.float32)
+    alpha[rng.random(alpha.shape) < 0.1] = 0.0  # signed-zero products
+    h = rng.standard_normal((nsrc, num_heads, head_dim)).astype(np.float32)
+    g = rng.standard_normal(
+        (num_targets, num_heads, head_dim)
+    ).astype(np.float32)
+
+    a_t = Tensor(alpha, requires_grad=True)
+    h_t = Tensor(h, requires_grad=True)
+    out = F.gat_aggregate(indptr, indices, a_t, h_t)
+    out.backward(g)
+    ref_out, ref_ga, ref_gh = _gat_aggregate_reference(
+        indptr, indices, alpha, h, g
+    )
+    assert np.array_equal(_bits(out.data), _bits(ref_out))
+    assert np.array_equal(_bits(a_t.grad), _bits(ref_ga))
+    assert np.array_equal(_bits(h_t.grad), _bits(ref_gh))
 
 
 def test_segment_sum_bitwise_matches_reference_int(seeded_rng):

@@ -158,21 +158,37 @@ def test_edge_gather_add_grads(csr, rng):
     )
 
 
-def test_edge_mul_gather_grads(csr, rng):
+def test_gat_aggregate_grads(csr, rng):
     indptr, indices = csr
     alpha = rng.random((5, 2)).astype(np.float32)
     feat = rng.standard_normal((5, 2, 3)).astype(np.float32)
     grad_close(
-        lambda t: (F.edge_mul_gather(indices, t, Tensor(feat)) ** 2.0).sum(),
+        lambda t: (
+            F.gat_aggregate(indptr, indices, t, Tensor(feat)) ** 2.0
+        ).sum(),
         alpha,
     )
     grad_close(
-        lambda t: (F.edge_mul_gather(indices, Tensor(alpha), t) ** 2.0).sum(),
+        lambda t: (
+            F.gat_aggregate(indptr, indices, Tensor(alpha), t) ** 2.0
+        ).sum(),
         feat,
     )
 
 
-def test_segment_sum_op_grad(csr, rng):
-    indptr, _ = csr
-    vals = rng.standard_normal((5, 2)).astype(np.float32)
-    grad_close(lambda t: (F.segment_sum(indptr, t) ** 2.0).sum(), vals)
+def test_gat_aggregate_unit_weights_grad(rng):
+    """With unit attention the op is a plain segment sum of gathered rows;
+    the empty middle segment and the repeated source get exact gradients."""
+    indptr = np.array([0, 2, 2, 5])
+    indices = np.array([1, 1, 0, 3, 1])
+    ones = np.ones((5, 2), dtype=np.float32)
+    feat = rng.standard_normal((4, 2, 3)).astype(np.float32)
+    out = F.gat_aggregate(indptr, indices, Tensor(ones), Tensor(feat))
+    assert np.allclose(out.data[1], 0.0)
+    assert np.allclose(out.data[0], 2 * feat[1])
+    grad_close(
+        lambda t: (
+            F.gat_aggregate(indptr, indices, Tensor(ones), t) ** 2.0
+        ).sum(),
+        feat,
+    )
