@@ -32,12 +32,8 @@ from repro.nn.sparse_optim import average_row_grads
 from repro.ops.neighbor_sampler import NeighborSampler
 from repro.train.checkpoint import save_checkpoint
 from repro.train.metrics import roc_auc
-from repro.train.pipeline import (
-    PipelinedExecutor,
-    run_iteration,
-    train_batch,
-)
 from repro.train.plans.cluster import ClusterDataParallelPlan
+from repro.train.streaming import StreamingLoader, train_step
 from repro.train.trainer import (
     SPARSE_OPTIMIZERS,
     linkpred_forward,
@@ -263,41 +259,6 @@ class ClusterTrainer:
     def _grad_nbytes(self) -> int:
         return sum(p.data.nbytes for p in self.models[0].parameters())
 
-    def _overlapped_node_step(
-        self,
-        executor: PipelinedExecutor,
-        i: int,
-        batch: np.ndarray,
-        batches: list[np.ndarray],
-        nxt: int,
-    ) -> tuple[float, float]:
-        """Node ``i`` trains ``batch`` while prefetching its next batch.
-
-        ``nxt`` is the global index of the batch node ``i`` will process in
-        the next round-robin step; its sample+gather runs concurrently with
-        this step's training compute, so only the exposed tail
-        ``max(0, train - prefetch)`` advances the node's clocks.  Returns
-        ``(loss, train compute seconds)`` — the gradient sync is charged
-        per group by the caller.
-        """
-        sample_rng = self.rngs.rank(i)
-        if not executor.has_staged:
-            # prologue: the epoch's first prefetch is fully exposed
-            executor.prefetch(batch, sample_rng, mirror_ranks=True)
-        sg, x_np = executor.take()
-        prefetch_t = 0.0
-        if nxt < len(batches):
-            prefetch_t = executor.prefetch(
-                batches[nxt], sample_rng, mirror_ranks=True
-            )
-        loss, _ = train_batch(
-            self.models[i], sg, x_np, self.stores[i].labels[batch],
-            rng=self._model_rngs[i], optimizer=None, compute_grads=True,
-        )
-        train_t = self.models[i].estimate_train_time(sg)
-        executor.charge_overlapped_train(train_t, prefetch_t)
-        return loss, train_t
-
     def train_epoch(self, max_iterations: int | None = None) -> dict:
         """One epoch; global batches are distributed round-robin over the
         machine nodes and processed concurrently (per-node clocks advance
@@ -316,7 +277,7 @@ class ClusterTrainer:
 
         t_start = max(node.sync() for node in self.nodes)
         losses: list[float] = []
-        executors = self._make_executors() if self.overlap else None
+        loaders = self._loaders()
         # round-robin: one step processes batches[cursor : cursor+k]
         # concurrently; the cursor loop (instead of a fixed-stride range)
         # lets a mid-epoch recovery change k or replay the epoch
@@ -327,32 +288,17 @@ class ClusterTrainer:
             try:
                 producers = []
                 for i, batch in enumerate(group):
-                    if self.overlap:
-                        loss, train_t = self._overlapped_node_step(
-                            executors[i], i, batch, batches, cursor + k + i
-                        )
-                        losses.append(loss)
-                        producers.append(
-                            (self.nodes[i].gpu_clock[0].now, train_t)
-                        )
-                        continue
-                    res = run_iteration(
-                        self.stores[i], self.samplers[i], self.models[i],
-                        batch, 0, self.rngs.rank(i),
-                        optimizer=None, compute_grads=True,
-                        charge_train=True,
-                        model_rng=self._model_rngs[i],
+                    # node i's next round-robin batch prefetches while this
+                    # one trains (with overlap on)
+                    nxt = cursor + k + i
+                    loss, train_t = train_step(
+                        loaders[i], batch, iter(batches[nxt : nxt + 1]),
+                        self.rngs.rank(i), self.models[i],
+                        self._model_rngs[i],
                     )
-                    losses.append(res.loss)
-                    # symmetric intra-node ranks
-                    node = self.nodes[i]
-                    for r in range(1, node.num_gpus):
-                        clk = node.gpu_clock[r]
-                        clk.advance(res.times.sample, phase="sample")
-                        clk.advance(res.times.gather, phase="gather")
-                        clk.advance(res.times.train, phase="train")
+                    losses.append(loss)
                     producers.append(
-                        (node.gpu_clock[0].now, res.times.train)
+                        (self.nodes[i].gpu_clock[0].now, train_t)
                     )
                 # global bucketed sync: averages the gradients
                 # functionally, then charges the hierarchical (NVLink +
@@ -367,10 +313,9 @@ class ClusterTrainer:
                 _, cursor, losses = self.plan.recover(
                     exc, None, cursor, losses
                 )
-                if self.overlap:
-                    # staged prefetches target pre-failure batch indexes;
-                    # rebuild and pay a fresh pipeline prologue
-                    executors = self._make_executors()
+                # staged prefetches target pre-failure batch indexes;
+                # rebuild and pay a fresh pipeline prologue
+                loaders = self._loaders()
         t_end = max(node.sync() for node in self.nodes)
         self._epoch += 1
         stats = {
@@ -480,10 +425,12 @@ evaluate_linkpred`, so the two agree bitwise on identical state.
         model.train()
         return roc_auc(res.scores.data, labels)
 
-    def _make_executors(self) -> list[PipelinedExecutor]:
+    def _loaders(self) -> list[StreamingLoader]:
+        """One batch loader per machine node (lookahead 1 with overlap)."""
         return [
-            PipelinedExecutor(self.stores[i], self.samplers[i], rank=0)
-            for i in range(self.num_machine_nodes)
+            StreamingLoader(store, sampler, rank=0,
+                            prefetch_depth=int(self.overlap))
+            for store, sampler in zip(self.stores, self.samplers)
         ]
 
     # -- fault polling & recovery -------------------------------------------------

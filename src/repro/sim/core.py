@@ -344,10 +344,10 @@ class Stream:
     ) -> None:
         """Stamp a retroactive span onto this stream's trace lane.
 
-        Used when a schedule was *planned* in a relative-time overlap window
-        (see :mod:`repro.sim.window`) and is committed to the timeline after
-        the fact — e.g. the per-bucket all-reduce schedule whose hidden
-        portion ran concurrently with backward compute.  Zero-duration
+        Used when a schedule was *planned* in relative time and is
+        committed to the timeline after the fact — e.g. the per-bucket
+        all-reduce schedule whose hidden portion ran concurrently with
+        backward compute.  Zero-duration
         spans are kept: a fully-hidden bucket clips to ``(0, 0)`` but still
         belongs on the lane (its args mark it hidden).
         """

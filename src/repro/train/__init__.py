@@ -6,8 +6,9 @@
   trainer (paper §III-D training flow);
 - :mod:`repro.train.plans` — composable parallelism plans (data-parallel,
   GNNPipe-style pipelined model parallelism, hybrid, CAGNET full-graph);
-- :mod:`repro.train.streaming` — the out-of-core streaming prefetch loader
-  (host-stream tier transfers, exposed-tail-only charging);
+- :mod:`repro.train.streaming` — the batch loader and step every symmetric
+  schedule runs on (sequential, double-buffered, and out-of-core streaming
+  with host-stream tier transfers);
 - :mod:`repro.train.ddp` — data-parallel gradient synchronisation;
 - :mod:`repro.train.metrics` — accuracy and epoch statistics.
 """

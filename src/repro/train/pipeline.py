@@ -11,18 +11,13 @@ One iteration on one GPU rank:
 Each phase advances the rank's simulated clock under its phase label;
 Fig. 9/11/12 are read off the resulting timeline.
 
-Two execution schedules are provided:
-
-- :func:`run_iteration` — the sequential schedule: sample, gather and train
-  back-to-back on the rank's clock (total = sum of the phases);
-- :class:`PipelinedExecutor` — the double-buffered schedule: while batch *i*
-  trains, batch *i+1*'s sample+gather runs concurrently (the prefetch
-  stream), so the steady-state per-iteration time is
-  ``max(train_i, sample_{i+1} + gather_{i+1})`` instead of the sum.  The
-  functional math is identical — the models, losses and trained weights are
-  bit-for-bit the same as the sequential schedule when sampling and dropout
-  draw from separate streams (both schedules consume each stream in batch
-  order).
+:func:`sample_and_gather` and :func:`train_batch` are the two halves;
+:func:`run_iteration` runs them back-to-back on one rank (the true-DDP
+path and the tests).  The symmetric schedules — sequential, double-buffered
+and out-of-core streaming — all run through
+:class:`~repro.train.streaming.StreamingLoader` and
+:func:`~repro.train.streaming.train_step`.  The bucketed gradient-sync
+planner below serves every schedule.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.ops.neighbor_sampler import NeighborSampler, SampledSubgraph
-from repro.sim import OverlapWindow, VirtualStream, join
+from repro.sim import join
 from repro.telemetry import metrics
 from repro.train.metrics import PhaseTimes, accuracy
 
@@ -170,104 +165,6 @@ def run_iteration(
     )
 
 
-class PipelinedExecutor:
-    """Double-buffered sample+gather prefetch over one store/sampler pair.
-
-    Drives the Fig. 1 loop with software pipelining: the caller asks for the
-    current batch's prepared data (:meth:`take`) and immediately issues the
-    next batch's prefetch (:meth:`prefetch`), then charges only the
-    *exposed* portion of the train time via :meth:`charge_overlapped_train`
-    — the part not hidden behind the prefetch that ran concurrently.
-
-    The prefetch stream charges the ``sample``/``gather`` phases on the main
-    clock (the copy/compute engines share the GPU's timeline); the train
-    compute of the *previous* batch then only pays
-    ``max(0, train - prefetch)`` — together that models the steady state
-    ``max(train_i, sample_{i+1}+gather_{i+1})`` per iteration.
-    """
-
-    def __init__(self, store, sampler: NeighborSampler, rank: int = 0):
-        self.store = store
-        self.sampler = sampler
-        self.rank = rank
-        self.node = store.node
-        self._staged: tuple[SampledSubgraph, np.ndarray] | None = None
-        self._staged_time = 0.0
-        #: sample/gather durations of the most recent prefetch
-        self.last_sample_time = 0.0
-        self.last_gather_time = 0.0
-
-    def prefetch(
-        self, seeds: np.ndarray, rng: np.random.Generator,
-        mirror_ranks: bool = False,
-    ) -> float:
-        """Sample+gather ``seeds`` into the staging buffer; returns the
-        prefetch duration.  ``mirror_ranks=True`` charges the same durations
-        to all other ranks (the SPMD-symmetric approximation)."""
-        if self._staged is not None:
-            raise RuntimeError("staging buffer full — take() the batch first")
-        sg, x_np, t_sample, t_gather = sample_and_gather(
-            self.store, self.sampler, seeds, self.rank, rng
-        )
-        if mirror_ranks:
-            streams = self.node.streams
-            for r in range(self.node.num_gpus):
-                if r == self.rank:
-                    continue
-                stream = streams.compute(r)
-                stream.launch(t_sample, phase="sample")
-                stream.launch(t_gather, phase="gather")
-        self._staged = (sg, x_np)
-        self.last_sample_time = t_sample
-        self.last_gather_time = t_gather
-        self._staged_time = t_sample + t_gather
-        return self._staged_time
-
-    @property
-    def has_staged(self) -> bool:
-        return self._staged is not None
-
-    def take(self) -> tuple[SampledSubgraph, np.ndarray]:
-        """Pop the staged (subgraph, features) pair for training."""
-        if self._staged is None:
-            raise RuntimeError("nothing staged — call prefetch() first")
-        staged, self._staged = self._staged, None
-        return staged
-
-    def charge_overlapped_train(
-        self, train_time: float, prefetch_time: float,
-        ranks: list[int] | None = None, phase: str = "train",
-    ) -> float:
-        """Charge the exposed tail of an overlapped train phase.
-
-        The train compute of batch *i* ran concurrently with the prefetch
-        of batch *i+1*, which already advanced the clock: an
-        :class:`~repro.sim.OverlapWindow` weighs the two, and only the
-        train op's exposed tail is launched on the compute streams.
-        Returns the exposed duration.
-        """
-        window = OverlapWindow(charged=prefetch_time)
-        window.stream("compute").launch(train_time)
-        exposed = window.exposed
-        streams = self.node.streams
-        targets = (
-            range(self.node.num_gpus) if ranks is None else ranks
-        )
-        for r in targets:
-            streams.compute(r).launch(
-                exposed, phase=phase, category="compute",
-                args={"train_time": train_time,
-                      "hidden_by_prefetch": train_time - exposed},
-            )
-        reg = metrics.get_registry()
-        reg.counter("iterations_total", schedule="pipelined").inc(1)
-        reg.counter("phase_seconds_total", phase=phase).inc(train_time)
-        reg.counter("overlap_hidden_seconds_total").inc(
-            train_time - exposed
-        )
-        return exposed
-
-
 # ---------------------------------------------------------------------------
 # Bucketed gradient-synchronisation overlap engine (paper §III-D)
 # ---------------------------------------------------------------------------
@@ -338,22 +235,26 @@ def plan_grad_sync(
     if not producers:
         producers = [(0.0, 0.0)]
     total = float(sum(bucket_nbytes))
-    # the serial comm stream, in sync-point-relative time: each bucket is
-    # launched behind its readiness floor, and the stream cursor serializes
-    comm = VirtualStream()
+    # the serial comm stream, in sync-point-relative time: each bucket
+    # starts behind its readiness floor and the previous bucket's end
+    starts: list[float] = []
+    ends: list[float] = []
+    cursor = -float("inf")
     cum = 0.0
     for j in range(k):
         cum += bucket_nbytes[j]
         frac = cum / total if total > 0 else 1.0
         ready = max(end - w * (1.0 - frac) for end, w in producers)
-        comm.launch(bucket_times[j], not_before=ready)
-    exposed = max(0.0, comm.ends[-1])
+        start = max(ready, cursor)
+        cursor = start + bucket_times[j]
+        starts.append(start)
+        ends.append(cursor)
     return GradSyncPlan(
         bucket_nbytes=tuple(int(b) for b in bucket_nbytes),
         bucket_times=tuple(float(t) for t in bucket_times),
-        starts=tuple(comm.starts),
-        ends=tuple(comm.ends),
-        exposed=exposed,
+        starts=tuple(starts),
+        ends=tuple(ends),
+        exposed=max(0.0, cursor),
     )
 
 

@@ -23,6 +23,7 @@ Concrete plans:
 from __future__ import annotations
 
 import os
+import weakref
 
 from repro import config
 from repro.faults import RankFailureError
@@ -49,6 +50,20 @@ class ParallelismPlan:
         """Initialise the (unbound) plan."""
         self.trainer = None
 
+    @property
+    def trainer(self):
+        """The bound trainer, or ``None`` before :meth:`bind`.
+
+        Held by weak reference: the trainer owns its plan, so a strong
+        back-reference would make the pair a cycle that keeps the whole
+        graph store alive until the cycle collector happens to run.
+        """
+        return None if self._trainer is None else self._trainer()
+
+    @trainer.setter
+    def trainer(self, trainer) -> None:
+        self._trainer = None if trainer is None else weakref.ref(trainer)
+
     def bind(self, trainer) -> None:
         """Attach the plan to ``trainer`` and build its execution state.
 
@@ -59,7 +74,7 @@ class ParallelismPlan:
         """
         raise NotImplementedError
 
-    def train_epoch(self, max_iterations: int | None, overlap: bool):
+    def train_epoch(self, max_iterations: int | None):
         """Run one training epoch and return its ``EpochStats``.
 
         The plan owns the whole epoch: batch scheduling, stream charges,

@@ -116,16 +116,11 @@ class CagnetFullGraphPlan(ParallelismPlan):
 
     # -- epoch loop --------------------------------------------------------
 
-    def train_epoch(self, max_iterations, overlap):
+    def train_epoch(self, max_iterations):
         """One full-graph pass = one 'iteration' epoch."""
         from repro.train.trainer import EpochStats
 
         t = self.trainer
-        if overlap:
-            raise ValueError(
-                "the CAGNET plan has no prefetch to overlap; "
-                "overlap=True is the data-parallel double-buffer knob"
-            )
         t.model.train()
         node = t.node
         t_start = node.sync()

@@ -14,13 +14,17 @@ Two execution modes (selected by the trainer's ``compute_ranks``):
 - ``"all"`` — true DDP: one model replica per GPU, per-rank batches, real
   bucketed gradient all-reduce every step.
 
-Within the symmetric mode the trainer's schedule knobs select sequential,
-double-buffered (``overlap=True``) or out-of-core streaming
-(``streaming=True``) epochs.  Both recovery policies (checkpoint restart
-and elastic shrink) plug in here.
+Within the symmetric mode the trainer's schedule knobs select the
+lookahead of one :class:`~repro.train.streaming.StreamingLoader`:
+sequential (0), double-buffered (``overlap=True``, 1) or out-of-core
+streaming (``streaming=True``, ``prefetch_depth``); every step runs
+through :func:`~repro.train.streaming.train_step`.  Both recovery policies
+(checkpoint restart and elastic shrink) plug in here.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -34,9 +38,9 @@ from repro.ops.neighbor_sampler import NeighborSampler
 from repro.telemetry import metrics
 from repro.train.ddp import DistributedDataParallel, GradSyncModel
 from repro.train.metrics import PhaseTimes
-from repro.train.pipeline import PipelinedExecutor, run_iteration, train_batch
+from repro.train.pipeline import run_iteration
 from repro.train.plans.base import ParallelismPlan
-from repro.train.streaming import StreamingLoader
+from repro.train.streaming import StreamingLoader, train_step
 
 
 class DataParallelPlan(ParallelismPlan):
@@ -80,7 +84,7 @@ class DataParallelPlan(ParallelismPlan):
 
     # -- epoch loop --------------------------------------------------------
 
-    def train_epoch(self, max_iterations, overlap):
+    def train_epoch(self, max_iterations):
         """One pass over the training nodes (optionally truncated)."""
         from repro.train.trainer import EpochStats
 
@@ -104,32 +108,19 @@ class DataParallelPlan(ParallelismPlan):
             hid0 = metrics.get_registry().total(
                 "grad_sync_hidden_seconds_total"
             )
-            done_before = len(losses)
             try:
-                if t.streaming:
-                    self._epoch_streaming(
-                        batches[cursor:], phase_totals, losses
-                    )
-                    cursor = len(batches)
-                elif overlap:
-                    self._epoch_pipelined(
-                        batches[cursor:], phase_totals, losses
-                    )
-                    cursor = len(batches)
+                if t.compute_ranks == "all":
+                    steps = map(self._step_all_ranks, batches[cursor:])
                 else:
-                    while cursor < len(batches):
-                        batch = batches[cursor]
-                        if t.compute_ranks == "all":
-                            loss = self._step_all_ranks(batch, cursor)
-                        else:
-                            loss = self._step_symmetric(batch, phase_totals)
-                        losses.append(loss)
-                        cursor += 1
-                        t._poll_faults()
+                    steps = self._symmetric_steps(
+                        batches[cursor:], phase_totals
+                    )
+                for loss in steps:
+                    losses.append(loss)
+                    cursor += 1
+                    t._poll_faults()
                 break
             except RankFailureError as exc:
-                if overlap or t.streaming:
-                    cursor += len(losses) - done_before
                 ar_acc += node.timeline.phase_total("allreduce", dev0) - ar0
                 aw_acc += (
                     node.timeline.phase_total("allreduce_wait", dev0) - aw0
@@ -189,154 +180,46 @@ class DataParallelPlan(ParallelismPlan):
 
     # -- step / schedule implementations -----------------------------------
 
-    def _step_symmetric(self, batch: np.ndarray,
-                        phase_totals: PhaseTimes) -> float:
-        """Rank 0 computes; other ranks are charged the same durations."""
-        t = self.trainer
-        node = t.node
-        res = run_iteration(
-            t.store, t.sampler, t.model, batch, 0,
-            t.rngs.rank(0), optimizer=t.optimizer, charge_train=True,
-            train_time_factor=t.layer_cost_factor,
-            model_rng=t._model_rng,
-        )
-        for r in range(1, node.num_gpus):
-            clk = node.gpu_clock[r]
-            clk.advance(res.times.sample, phase="sample")
-            clk.advance(res.times.gather, phase="gather")
-            clk.advance(res.times.train, phase="train")
-        t.grad_sync.charge(
-            producers=[(node.gpu_clock[0].now, res.times.train)],
-            phase="allreduce",
-        )
-        node.sync()
-        phase_totals += res.times
-        return res.loss
+    def _symmetric_steps(self, batches: list[np.ndarray],
+                         times: PhaseTimes):
+        """Train ``batches`` off one loader; yields each step's loss.
 
-    def _epoch_pipelined(self, batches: list[np.ndarray],
-                         phase_totals: PhaseTimes,
-                         losses: list[float] | None = None) -> list[float]:
-        """Double-buffered epoch: prefetch batch i+1 while batch i trains.
-
-        Same math, same RNG stream consumption order as the sequential
-        schedule — only the clock accounting overlaps: each iteration
-        charges ``max(train_i, sample_{i+1}+gather_{i+1})``, with the first
-        batch's prefetch fully exposed (the pipeline prologue).
-
-        ``losses`` (when given) is appended to in place, one entry per
-        *completed* batch — the recovery path uses its length as the batch
-        cursor when a rank failure interrupts the pipeline.
+        Rank 0 computes and the other ranks are charged its durations.
+        The lookahead picks the schedule: 0 is sequential, 1 the
+        double-buffered ``overlap`` schedule, ``prefetch_depth`` the
+        out-of-core ``streaming`` one.  The loader's phase seconds
+        accumulate into ``times``.  An in-core loader syncs the node after
+        its prologue and after every step.  The host-stream loader does not:
+        the grad-sync barrier aligns the compute streams, while the host
+        clock is free to run ahead into future batches' transfers.
         """
         t = self.trainer
         node = t.node
-        losses = [] if losses is None else losses
-        if not batches:
-            return losses
-        executor = PipelinedExecutor(t.store, t.sampler, rank=0)
-        sample_rng = t.rngs.rank(0)
-
-        executor.prefetch(batches[0], sample_rng, mirror_ranks=True)
-        phase_totals += PhaseTimes(
-            sample=executor.last_sample_time,
-            gather=executor.last_gather_time,
-        )
-        node.sync()
-        for i, batch in enumerate(batches):
-            sg, x_np = executor.take()
-            prefetch_t = 0.0
-            if i + 1 < len(batches):
-                prefetch_t = executor.prefetch(
-                    batches[i + 1], sample_rng, mirror_ranks=True
-                )
-                phase_totals += PhaseTimes(
-                    sample=executor.last_sample_time,
-                    gather=executor.last_gather_time,
-                )
-            # training of batch i runs concurrently with that prefetch
-            loss, _ = train_batch(
-                t.model, sg, x_np, t.store.labels[batch],
-                rng=t._model_rng, optimizer=t.optimizer,
-            )
-            train_t = (
-                t.model.estimate_train_time(sg) * t.layer_cost_factor
-            )
-            executor.charge_overlapped_train(train_t, prefetch_t)
-            t.grad_sync.charge(
-                producers=[(node.gpu_clock[0].now, train_t)],
-                phase="allreduce",
-            )
-            node.sync()
-            losses.append(loss)
-            phase_totals += PhaseTimes(train=train_t)
-            t._poll_faults()
-        return losses
-
-    def _epoch_streaming(self, batches: list[np.ndarray],
-                         phase_totals: PhaseTimes,
-                         losses: list[float] | None = None) -> list[float]:
-        """Out-of-core epoch: the host stream prefetches tier rows ahead.
-
-        Up to ``prefetch_depth`` batches are in flight: each is sampled on
-        the compute streams, its host/disk tier fetch launched on the host
-        stream, and consumed later behind the fetch event — the scheduler
-        charges only the exposed transfer tail (``host_fetch_wait``).  The
-        per-iteration ``node.sync()`` of the other schedules is deliberately
-        absent: the grad-sync barrier aligns the compute streams, while the
-        host clock is free to run ahead into future batches' transfers.
-
-        Same math, same RNG stream consumption order as the sequential
-        schedule (sampling and dropout both in batch order), so the losses
-        and trained weights are bit-identical.
-        """
-        t = self.trainer
-        node = t.node
-        losses = [] if losses is None else losses
-        if not batches:
-            return losses
         loader = StreamingLoader(
             t.store, t.sampler, rank=0,
-            prefetch_depth=t.prefetch_depth,
+            prefetch_depth=t.prefetch_depth if t.streaming else int(t.overlap),
         )
-        sample_rng = t.rngs.rank(0)
-        reg = metrics.get_registry()
-
-        depth = min(loader.prefetch_depth, len(batches))
-        for j in range(depth):
-            loader.prefetch(batches[j], sample_rng)
-            phase_totals += PhaseTimes(sample=loader.last_sample_time)
-        nxt = depth
-        for batch in batches:
-            sg, x_np = loader.take()
-            phase_totals += PhaseTimes(gather=loader.last_consume_time)
-            if nxt < len(batches):
-                loader.prefetch(batches[nxt], sample_rng)
-                phase_totals += PhaseTimes(sample=loader.last_sample_time)
-                nxt += 1
-            # training of this batch overlaps the prefetch just launched
-            loss, _ = train_batch(
-                t.model, sg, x_np, t.store.labels[batch],
-                rng=t._model_rng, optimizer=t.optimizer,
+        loader.times = times
+        rng = t.rngs.rank(0)
+        pending = iter(batches)
+        for seeds in islice(pending, loader.prefetch_depth):
+            loader.prefetch(seeds, rng)
+        if not loader.streams_host:
+            node.sync()
+        for seeds in batches:
+            loss, train_t = train_step(
+                loader, seeds, pending, rng, t.model, t._model_rng,
+                optimizer=t.optimizer, train_time_factor=t.layer_cost_factor,
             )
-            train_t = (
-                t.model.estimate_train_time(sg) * t.layer_cost_factor
-            )
-            for r in range(node.num_gpus):
-                node.streams.compute(r).launch(
-                    train_t, phase="train", category="compute",
-                    args={"edges": sg.total_edges(),
-                          "input_nodes": int(sg.input_nodes.shape[0])},
-                )
-            reg.counter("phase_seconds_total", phase="train").inc(train_t)
             t.grad_sync.charge(
                 producers=[(node.gpu_clock[0].now, train_t)],
                 phase="allreduce",
             )
-            losses.append(loss)
-            phase_totals += PhaseTimes(train=train_t)
-            t._poll_faults()
-        return losses
+            if not loader.streams_host:
+                node.sync()
+            yield loss
 
-    def _step_all_ranks(self, batch: np.ndarray, it: int) -> float:
+    def _step_all_ranks(self, batch: np.ndarray) -> float:
         """True DDP: per-rank batches, real gradient all-reduce."""
         t = self.trainer
         node = t.node

@@ -1,32 +1,39 @@
-"""Streaming prefetch loader for out-of-core training (host/disk tier).
+"""The batch loader and training step behind every symmetric schedule.
 
-When features spill below HBM (``tier="tiered"`` on the graph store), every
-mini-batch's gather pays the zero-copy PCIe hop — and, for cold rows, the
-disk staging chain.  Paying that synchronously would put the whole transfer
-on the iteration's critical path.  This module pipelines it instead, on the
-event-driven scheduler (:mod:`repro.sim`):
+The paper's iteration (§III-D, Fig. 1) is one loop — sample, gather,
+train — and the schedules differ only in how far ahead of the trained batch
+the loader runs.  :class:`StreamingLoader` keeps a queue of up to
+``prefetch_depth`` prepared batches; :func:`train_step` takes the oldest,
+tops the queue up, trains, and launches the train op on every compute
+stream:
 
-- a **dedicated host stream** carries the disk->host->HBM transfers: each
-  prefetched batch is sampled on the compute stream (the sampling kernels
-  are GPU work either way), its frontier split into HBM-cached hits and
-  tier rows, and the tier fetch launched on the host stream with the
-  :meth:`~repro.dsm.tiered_tensor.TieredTensor.fetch_time` duration;
-- the **consume** op — reading the now-staged rows plus cache hits out of
-  HBM — launches on the compute streams *depending on the fetch event*.
-  The scheduler charges only the dependency stall (the exposed tail, a
-  non-busy ``host_fetch_wait`` span); transfer time hidden behind the
-  previous batches' train compute costs nothing on the GPU clocks.
+- **depth 0 — sequential.**  Nothing is staged ahead: each step fetches its
+  own batch inline (:func:`~repro.train.pipeline.sample_and_gather` on the
+  rank's clock) and then trains.
+- **in-core store, depth >= 1 — double buffering.**  The prefetch of batch
+  *i+1* runs on the rank's clock (the copy engine shares the GPU timeline)
+  while batch *i* trains, so the train op only exposes
+  ``max(0, train - prefetch)``: the steady state is
+  ``max(train_i, sample_{i+1} + gather_{i+1})`` per iteration.
+- **tiered store, depth >= 1 — out-of-core streaming.**  When features
+  spill below HBM (``tier="tiered"``), every gather pays the zero-copy PCIe
+  hop and, for cold rows, the disk staging chain.  A **dedicated host
+  stream** carries those transfers: each prefetched batch is sampled on
+  the compute stream, its frontier split into HBM-cached hits and tier
+  rows, and the tier fetch launched on the host stream with the
+  :meth:`~repro.dsm.tiered_tensor.TieredTensor.fetch_time` duration.  The
+  **consume** op — reading the staged rows plus cache hits out of HBM —
+  launches on the compute streams *depending on the fetch event*, so the
+  scheduler charges only the dependency stall (a non-busy
+  ``host_fetch_wait`` span).  The host stream is FIFO, so in-flight
+  transfers serialise like a real copy engine.  Exposed/hidden seconds
+  land in the ``host_fetch_*_seconds_total`` ledgers.
 
-A depth-``prefetch_depth`` queue keeps that many batches in flight; the
-host stream is FIFO, so in-flight transfers serialise behind each other
-exactly like a real copy engine.  Exposed/hidden seconds land in the
-``host_fetch_*_seconds_total`` ledgers (mirroring the grad-sync books) and
-feed the overlap report and the analysis CI gate.
-
-The functional math is untouched: sampling and feature rows are the same
-NumPy values the sequential schedule produces, and both schedules consume
-the sampling and dropout RNG streams in batch order — the trained model is
-bit-identical to a non-streaming run at equal seeds.
+Under every schedule the other ranks are charged rank 0's sample and
+gather durations on their compute streams (the SPMD-symmetric
+approximation).  The functional math never changes: sampling and dropout
+draw from separate streams, each consumed in batch order, so losses and
+trained weights are bit-identical across schedules at equal seeds.
 """
 
 from __future__ import annotations
@@ -37,37 +44,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import config
-from repro.dsm.tiered_tensor import TieredTensor
 from repro.hardware import costmodel
 from repro.ops.neighbor_sampler import NeighborSampler, SampledSubgraph
 from repro.telemetry import metrics
+from repro.train import pipeline
+from repro.train.metrics import PhaseTimes
 
-__all__ = ["StreamingLoader"]
+__all__ = ["StreamingLoader", "train_step"]
 
 
 @dataclass
 class _StagedBatch:
-    """One in-flight prefetch: sampled subgraph, features, fetch event."""
+    """One prepared batch: sampled subgraph, features, tier fetch state."""
 
     subgraph: SampledSubgraph
     features: np.ndarray
-    #: host-stream completion event of the tier fetch
-    event: object
+    #: host-stream completion event of the tier fetch (``None`` in-core)
+    event: object = None
     #: host-stream transfer duration (the full fetch, hidden or not)
-    fetch_time: float
+    fetch_time: float = 0.0
     #: tier fetch span args (rows / bytes / host_bytes / disk_bytes)
-    fetch_args: dict
+    fetch_args: dict | None = None
     #: rows served from the rank's HBM cache (no host transfer needed)
-    cache_hits: int
+    cache_hits: int = 0
 
 
 class StreamingLoader:
-    """Prefetching loader over a tiered :class:`MultiGpuGraphStore`.
+    """Depth-``prefetch_depth`` batch queue over one store/sampler pair.
 
-    Drives the out-of-core epoch: the trainer calls :meth:`prefetch` up to
-    ``prefetch_depth`` batches ahead and :meth:`take` for the current one;
-    tier transfers ride the host stream and only their exposed tails stall
-    the compute streams.
+    The trainer calls :meth:`prefetch` to stage batches ahead and
+    :meth:`take` for the current one (or lets :func:`train_step` do both).
+    ``times`` accumulates the rank's sample/gather/train seconds of every
+    batch this loader handled; a caller may point it at its own
+    :class:`~repro.train.metrics.PhaseTimes` to keep one running total
+    across loaders.
     """
 
     def __init__(
@@ -77,40 +87,38 @@ class StreamingLoader:
         rank: int = 0,
         prefetch_depth: int | None = None,
     ):
-        tensor = store.feature_tensor
-        if not isinstance(tensor, TieredTensor):
-            raise ValueError(
-                "the streaming loader needs tiered features — build the "
-                "store with tier='tiered'"
-            )
+        if prefetch_depth is None:
+            prefetch_depth = config.PREFETCH_DEPTH
+        if prefetch_depth < 0:
+            raise ValueError("prefetch_depth must be >= 0")
+        #: prefetches ride the host stream (tiered store, staged ahead)
+        self.streams_host = store.tier == "tiered" and prefetch_depth > 0
         cache = store.feature_cache
-        if cache is not None and cache.policy != "static":
+        if self.streams_host and cache is not None and cache.policy != "static":
             raise ValueError(
                 "streaming prefetch plans against a stable cache hit set; "
                 "use the static cache policy (or no cache)"
             )
-        if prefetch_depth is None:
-            prefetch_depth = config.PREFETCH_DEPTH
-        if prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be >= 1")
         self.store = store
         self.sampler = sampler
         self.rank = rank
         self.node = store.node
-        self.tensor = tensor
+        self.tensor = store.feature_tensor
         self.cache = cache
         self.prefetch_depth = int(prefetch_depth)
         self._queue: deque[_StagedBatch] = deque()
-        #: sample duration of the most recent :meth:`prefetch`
-        self.last_sample_time = 0.0
-        #: consume (HBM read) duration of the most recent :meth:`take`
-        self.last_consume_time = 0.0
-        #: exposed host-transfer stall of the most recent :meth:`take`
-        self.last_exposed_time = 0.0
+        self.times = PhaseTimes()
 
     @property
     def in_flight(self) -> int:
         return len(self._queue)
+
+    @property
+    def schedule(self) -> str:
+        """The ``iterations_total`` label of a step off this loader."""
+        if self.streams_host:
+            return "streaming"
+        return "pipelined" if self.prefetch_depth else "sequential"
 
     def _split_cached(self, rows: np.ndarray) -> tuple[int, np.ndarray]:
         """``(cache hits, rows needing a tier fetch)`` for the frontier."""
@@ -120,28 +128,43 @@ class StreamingLoader:
         hit = st.slot_of[rows] >= 0
         return int(np.count_nonzero(hit)), rows[~hit]
 
-    def prefetch(self, seeds: np.ndarray, rng: np.random.Generator) -> float:
-        """Sample ``seeds`` and launch its tier fetch on the host stream.
+    def prefetch(
+        self, seeds: np.ndarray, rng: np.random.Generator
+    ) -> PhaseTimes:
+        """Sample ``seeds`` and stage its features.
 
-        Sampling runs on the compute streams (it is GPU work under either
-        schedule); the host stream then carries the frontier's warm/cold
-        transfer.  Returns the launched transfer duration.
+        Returns the sample/gather seconds charged on the rank's clock.
+        In-core (or at depth 0) both phases run there.  On the host stream
+        only the sample does: the tier transfer is launched on the host
+        stream and read back by :meth:`take`.
         """
-        if len(self._queue) >= self.prefetch_depth:
+        if len(self._queue) >= max(self.prefetch_depth, 1):
             raise RuntimeError(
-                f"prefetch queue full ({self.prefetch_depth} in flight) — "
+                f"prefetch queue full ({len(self._queue)} in flight) — "
                 "take() a batch first"
             )
-        node = self.node
-        streams = node.streams
-        clock = node.gpu_clock[self.rank]
+        if not self.streams_host:
+            sg, x_np, t_sample, t_gather = pipeline.sample_and_gather(
+                self.store, self.sampler, seeds, self.rank, rng
+            )
+            for r in range(self.node.num_gpus):
+                if r != self.rank:
+                    stream = self.node.streams.compute(r)
+                    stream.launch(t_sample, phase="sample")
+                    stream.launch(t_gather, phase="gather")
+            fetched = PhaseTimes(sample=t_sample, gather=t_gather)
+            self.times += fetched
+            self._queue.append(_StagedBatch(sg, x_np))
+            return fetched
 
+        node = self.node
+        clock = node.gpu_clock[self.rank]
         t0 = clock.now
         sg = self.sampler.sample(seeds, self.rank, rng)
         t_sample = clock.now - t0
         for r in range(node.num_gpus):
             if r != self.rank:
-                streams.compute(r).launch(t_sample, phase="sample")
+                node.streams.compute(r).launch(t_sample, phase="sample")
 
         rows = sg.input_nodes
         x_np = self.tensor.gather_no_cost(rows)
@@ -155,35 +178,43 @@ class StreamingLoader:
             injector.charge_gather_retries(
                 node.host_clock, phase="gather_retry", node_id=node.node_id
             )
-        event = streams.host().launch(
+        event = node.streams.host().launch(
             t_fetch, phase="host_fetch", category="gather", args=dict(fargs)
         )
         self.tensor._account(fargs, t_fetch, event.time)
 
-        reg = metrics.get_registry()
-        reg.counter("phase_seconds_total", phase="sample").inc(t_sample)
+        metrics.get_registry().counter(
+            "phase_seconds_total", phase="sample"
+        ).inc(t_sample)
+        fetched = PhaseTimes(sample=t_sample)
+        self.times += fetched
         self._queue.append(
             _StagedBatch(
                 subgraph=sg, features=x_np, event=event,
                 fetch_time=t_fetch, fetch_args=fargs, cache_hits=cache_hits,
             )
         )
-        self.last_sample_time = t_sample
-        return t_fetch
+        return fetched
 
     def take(self) -> tuple[SampledSubgraph, np.ndarray]:
-        """Consume the oldest staged batch for training.
+        """Pop the oldest staged ``(subgraph, features)`` for training.
 
-        Launches the HBM read of the staged rows (plus cache hits) on every
-        compute stream behind the fetch event — if the transfer is still in
-        flight, the dependency stall lands as a non-busy ``host_fetch_wait``
-        span: the *exposed* portion of the host transfer, and nothing more.
+        On the host stream this launches the HBM read of the staged rows
+        (plus cache hits) on every compute stream behind the fetch event —
+        if the transfer is still in flight, the dependency stall lands as a
+        non-busy ``host_fetch_wait`` span: the *exposed* portion of the
+        host transfer, and nothing more.
         """
         if not self._queue:
             raise RuntimeError("nothing staged — call prefetch() first")
         staged = self._queue.popleft()
+        if self.streams_host:
+            self._consume(staged)
+        return staged.subgraph, staged.features
+
+    def _consume(self, staged: _StagedBatch) -> None:
+        """Charge the HBM read of a host-staged batch and its ledgers."""
         node = self.node
-        streams = node.streams
         tensor = self.tensor
         rows = staged.subgraph.input_nodes
         nbytes = int(rows.size * tensor.row_bytes)
@@ -209,18 +240,16 @@ class StreamingLoader:
             "tensor": tensor.tag,
         }
         for r in range(node.num_gpus):
-            streams.compute(r).launch(
+            node.streams.compute(r).launch(
                 t_consume, deps=(staged.event,), phase="gather",
                 category="gather", wait_phase="host_fetch_wait",
                 args=span_args,
             )
 
-        staged_bytes = int(staged.fetch_args["bytes"])
-        tensor.stats["staged_bytes"] += staged_bytes
+        tensor.stats["staged_bytes"] += int(staged.fetch_args["bytes"])
         now = node.gpu_clock[self.rank].now
         reg = metrics.get_registry()
         reg.counter("phase_seconds_total", phase="gather").inc(t_consume)
-        reg.counter("iterations_total", schedule="streaming").inc(1)
         # the staged read is a local HBM gather; the PCIe/disk bytes were
         # booked when the fetch launched (TieredTensor._account)
         reg.counter("gather_link_bytes_total", link="hbm").inc(nbytes, t=now)
@@ -250,6 +279,71 @@ class StreamingLoader:
                 reg.total("cache_hits_total") / total if total else 0.0,
                 t=now,
             )
-        self.last_consume_time = t_consume
-        self.last_exposed_time = exposed
-        return staged.subgraph, staged.features
+        self.times += PhaseTimes(gather=t_consume)
+
+
+def train_step(
+    loader: StreamingLoader,
+    seeds: np.ndarray,
+    upcoming,
+    rng: np.random.Generator,
+    model,
+    model_rng: np.random.Generator,
+    optimizer=None,
+    train_time_factor: float = 1.0,
+) -> tuple[float, float]:
+    """Train ``seeds`` off ``loader``; returns ``(loss, train seconds)``.
+
+    Fetches ``seeds`` first if nothing is staged (the sequential schedule
+    and a pipeline prologue), takes the staged batch, tops the queue up to
+    ``prefetch_depth`` from the ``upcoming`` seed iterator, then runs the
+    forward/backward (and ``optimizer`` step, if given).  The train op goes
+    on every compute stream as ``max(0.0, train - overlapped)``, where
+    ``overlapped`` is the in-core prefetch launched during this step.  The
+    caller charges the gradient sync.
+    """
+    node = loader.node
+    clock = node.gpu_clock[loader.rank]
+    t0 = clock.now
+    fetched = loader.prefetch(seeds, rng) if not loader.in_flight else None
+    sg, x_np = loader.take()
+    overlapped = 0.0
+    while loader.in_flight < loader.prefetch_depth:
+        nxt = next(upcoming, None)
+        if nxt is None:
+            break
+        ahead = loader.prefetch(nxt, rng)
+        if not loader.streams_host:
+            overlapped += ahead.sample + ahead.gather
+    loss, _ = pipeline.train_batch(
+        model, sg, x_np, loader.store.labels[seeds],
+        rng=model_rng, optimizer=optimizer, compute_grads=True,
+    )
+    train_t = model.estimate_train_time(sg) * train_time_factor
+    exposed = max(0.0, train_t - overlapped)
+    schedule = loader.schedule
+    args = {"edges": sg.total_edges(),
+            "input_nodes": int(sg.input_nodes.shape[0])}
+    if schedule == "pipelined":
+        args.update(train_time=train_t, hidden_by_prefetch=train_t - exposed)
+    streams = node.streams
+    streams.compute(loader.rank).launch(
+        exposed, phase="train", category="compute", args=args,
+    )
+    if schedule == "sequential":
+        # the sequential step books its train time as the rank's clock
+        # time net of its inline fetch: ``train_t`` up to rounding, and the
+        # float the golden manifests were recorded with
+        train_t = exposed = clock.now - t0 - fetched.sample - fetched.gather
+    for r in range(node.num_gpus):
+        if r != loader.rank:
+            streams.compute(r).launch(
+                exposed, phase="train", category="compute", args=args,
+            )
+    reg = metrics.get_registry()
+    reg.counter("iterations_total", schedule=schedule).inc(1)
+    reg.counter("phase_seconds_total", phase="train").inc(train_t)
+    if schedule == "pipelined":
+        reg.counter("overlap_hidden_seconds_total").inc(train_t - exposed)
+    loader.times += PhaseTimes(train=train_t)
+    return loss, train_t

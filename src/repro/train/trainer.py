@@ -405,29 +405,15 @@ class WholeGraphTrainer:
             for i in range(nb)
         ]
 
-    def train_epoch(
-        self,
-        max_iterations: int | None = None,
-        overlap: bool | None = None,
-    ) -> EpochStats:
+    def train_epoch(self, max_iterations: int | None = None) -> EpochStats:
         """One pass over the training nodes (optionally truncated).
 
-        ``overlap`` overrides the constructor's schedule for this epoch;
-        with the pipelined schedule, phase totals still record the *full*
+        With an overlapped schedule, phase totals still record the *full*
         per-phase work while ``epoch_time`` reflects the overlap.
         """
-        overlap = self.overlap if overlap is None else bool(overlap)
         if self.task == "linkpred":
-            if overlap:
-                raise ValueError(
-                    "link prediction runs in the sequential schedule"
-                )
             return self._train_epoch_linkpred(max_iterations)
-        if overlap and self.compute_ranks == "all":
-            raise ValueError(
-                "the pipelined schedule runs in the symmetric mode only"
-            )
-        return self.plan.train_epoch(max_iterations, overlap)
+        return self.plan.train_epoch(max_iterations)
 
     # -- fault polling & recovery -------------------------------------------------
 

@@ -1,24 +1,35 @@
 """Golden charging cases: the scheduler refactor's bit-identity contract.
 
-Each case below runs one overlap engine (the training pipeline, the bucketed
+Each case below runs one overlap engine (the training schedules, the bucketed
 grad-sync, the cluster trainer's hierarchical rings, or the serve engine)
 end-to-end and returns the *scrubbed* report JSON.  The committed files under
 ``tests/golden/`` were generated by the legacy hand-charged implementations
-(double-buffered ``PipelinedExecutor`` charging, ``GradSyncPlan`` exposed-tail
-charging, the serve ``serve_wait`` loop) **before** the engines were rebuilt
-on the :mod:`repro.sim` event-driven stream scheduler;
+(double-buffered prefetch charging, ``GradSyncPlan`` exposed-tail charging,
+the serve ``serve_wait`` loop) **before** the engines were rebuilt on the
+:mod:`repro.sim` event-driven stream scheduler and the shared batch loader;
 ``tests/test_scheduler_golden.py`` asserts the rebuilt engines reproduce
 them byte for byte.
 
 Regenerate (only when charging semantics change *intentionally*)::
 
     PYTHONPATH=src python -m tests.golden_cases --write
+
+then review how far every number moved against a git revision::
+
+    PYTHONPATH=src python -m tests.golden_cases --compare HEAD~
+
+``--compare`` reads each ``tests/golden/*.json`` at the revision through
+``git show`` and reports, per file, ``identical`` or the added/removed keys
+and the largest float move.  It exits non-zero if a key set differs, an int,
+string, bool or null differs, or a float moves more than
+``max(1e-12 * |old|, 1e-15)``.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import subprocess
 
 from repro.cluster.trainer import ClusterTrainer
 from repro.faults import (
@@ -254,15 +265,105 @@ CASES = {
 }
 
 
+#: a float may move by at most ``max(REL_TOL * |old|, ABS_TOL)``
+REL_TOL = 1e-12
+ABS_TOL = 1e-15
+
+
+def _leaves(obj, path: str = ""):
+    """``(path, value)`` for every scalar in a JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}/{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def compare_documents(old, new) -> tuple[list[str], bool]:
+    """Report lines and pass/fail for one golden file, ``old`` -> ``new``."""
+    before, after = dict(_leaves(old)), dict(_leaves(new))
+    lines = []
+    ok = True
+    added = [k for k in after if k not in before]
+    removed = [k for k in before if k not in after]
+    if added or removed:
+        ok = False
+        lines += [f"added key {k}" for k in added]
+        lines += [f"removed key {k}" for k in removed]
+    worst_rel = worst_abs = (0.0, None)
+    for key, a in before.items():
+        if key not in after:
+            continue
+        b = after[key]
+        floats = isinstance(a, float) and isinstance(b, float)
+        if not floats:
+            if type(a) is not type(b) or a != b:
+                ok = False
+                lines.append(f"changed {key}: {a!r} -> {b!r}")
+            continue
+        diff = abs(b - a)
+        if diff > max(REL_TOL * abs(a), ABS_TOL):
+            ok = False
+            lines.append(f"float out of tolerance {key}: {a!r} -> {b!r}")
+        rel = diff / abs(a) if a else (0.0 if diff == 0.0 else float("inf"))
+        worst_rel = max(worst_rel, (rel, key), key=lambda x: x[0])
+        worst_abs = max(worst_abs, (diff, key), key=lambda x: x[0])
+    lines.insert(0, "within tolerance" if ok else "OUT OF TOLERANCE")
+    lines.append(
+        f"largest float move: rel {worst_rel[0]:.3g} ({worst_rel[1]}), "
+        f"abs {worst_abs[0]:.3g} ({worst_abs[1]})"
+    )
+    return lines, ok
+
+
+def compare_to_revision(rev: str) -> int:
+    """Diff every golden file on disk against its version at ``rev``."""
+    root = GOLDEN_DIR.parent.parent
+    rc = 0
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        rel = path.relative_to(root).as_posix()
+        shown = subprocess.run(
+            ["git", "show", f"{rev}:{rel}"], cwd=root,
+            capture_output=True, text=True,
+        )
+        if shown.returncode != 0:
+            print(f"{path.name}: not present at {rev}")
+            rc = 1
+            continue
+        text = path.read_text()
+        if text == shown.stdout:
+            print(f"{path.name}: identical")
+            continue
+        lines, ok = compare_documents(
+            json.loads(shown.stdout), json.loads(text)
+        )
+        print(f"{path.name}: {lines[0]}")
+        for line in lines[1:]:
+            print(f"    {line}")
+        rc |= 0 if ok else 1
+    return rc
+
+
 def main(argv=None) -> int:
     import argparse
 
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     parser.add_argument("--write", action="store_true",
                         help="(re)generate tests/golden/*.json")
     parser.add_argument("--only", nargs="*", default=None,
                         help="subset of case names")
+    parser.add_argument("--compare", metavar="REV", default=None,
+                        help="diff the golden files against git revision "
+                             "REV instead of running the cases")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        return compare_to_revision(args.compare)
     names = args.only or sorted(CASES)
     GOLDEN_DIR.mkdir(exist_ok=True)
     rc = 0

@@ -316,11 +316,15 @@ def test_cluster_transient_faults_preserve_weights(
     tr.assert_in_sync()
 
 
-def test_cluster_machine_node_failure_shrinks(registry, small_dataset):
-    base_tr, base_stats = _cluster(small_dataset)
+@pytest.mark.parametrize("overlap", [False, True])
+def test_cluster_machine_node_failure_shrinks(
+    registry, small_dataset, overlap
+):
+    base_tr, base_stats = _cluster(small_dataset, overlap=overlap)
     t_fail = 0.5 * base_stats[0]["epoch_time"]
     plan = FaultPlan(events=[RankFailure(rank=0, time=t_fail, node_id=2)])
-    tr, stats = _cluster(small_dataset, plan, policy="shrink")
+    tr, stats = _cluster(small_dataset, plan, policy="shrink",
+                         overlap=overlap)
     assert tr.num_machine_nodes == 2
     assert [n.node_id for n in tr.nodes] == [0, 1]
     assert len(tr.recoveries) == 1
@@ -332,9 +336,13 @@ def test_cluster_machine_node_failure_shrinks(registry, small_dataset):
     assert report["config"]["num_machine_nodes"] == 2
 
 
-def test_cluster_machine_node_failure_restart(registry, small_dataset):
+@pytest.mark.parametrize("overlap", [False, True])
+def test_cluster_machine_node_failure_restart(
+    registry, small_dataset, overlap
+):
     plan = FaultPlan(events=[RankFailure(rank=0, time=1e-4, node_id=1)])
-    tr, stats = _cluster(small_dataset, plan, policy="restart")
+    tr, stats = _cluster(small_dataset, plan, policy="restart",
+                         overlap=overlap)
     assert tr.num_machine_nodes == 3  # node assumed restarted in place
     assert len(tr.recoveries) == 1
     tr.assert_in_sync()

@@ -105,10 +105,17 @@ class TestDataParallelEquivalence:
     def test_resolve_plan_rejects_unknown_and_rebind(self):
         with pytest.raises(ValueError, match="unknown parallelism plan"):
             resolve_plan("tensor_parallel")
+        class Owner:  # a live trainer stand-in (plans hold it weakly)
+            pass
+
+        owner = Owner()
         bound = DataParallelPlan()
-        bound.trainer = object()  # simulates a plan a trainer already took
+        bound.trainer = owner  # simulates a plan a trainer already took
         with pytest.raises(ValueError, match="single trainer"):
             resolve_plan(bound)
+        # the back-reference does not keep its trainer alive
+        del owner
+        assert bound.trainer is None
 
 
 # ---------------------------------------------------------------------------

@@ -53,17 +53,6 @@ def test_overlap_phase_totals_record_full_work(medium_dataset):
     )
 
 
-def test_overlap_per_epoch_override(medium_dataset):
-    store = MultiGpuGraphStore(SimNode(), medium_dataset, seed=0)
-    trainer = WholeGraphTrainer(
-        store, "graphsage", seed=3, batch_size=32, fanouts=[5, 5],
-        hidden=32, overlap=False,
-    )
-    seq = trainer.train_epoch()
-    pipe = trainer.train_epoch(overlap=True)
-    assert pipe.epoch_time < seq.epoch_time
-
-
 def test_overlap_rejects_all_ranks_mode(small_store):
     with pytest.raises(ValueError):
         WholeGraphTrainer(

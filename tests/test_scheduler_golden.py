@@ -1,7 +1,8 @@
 """Scheduler bit-identity: stream-based engines vs legacy charging.
 
 The overlap engines (pipelined prefetch, bucketed grad sync, serve) were
-rebuilt on the :mod:`repro.sim` event-driven stream scheduler; the files
+rebuilt on the :mod:`repro.sim` event-driven stream scheduler, and the
+training schedules later onto one shared batch loader; the files
 under ``tests/golden/`` hold scrubbed reports captured from the *legacy*
 hand-charged implementations.  Byte equality here proves the refactor
 changed no simulated timestamp, loss, phase total or metric anywhere across
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from tests import golden_cases
@@ -64,3 +66,21 @@ def test_faulted_cases_differ_from_clean():
         a = (golden_cases.GOLDEN_DIR / f"{clean}.json").read_text()
         b = (golden_cases.GOLDEN_DIR / f"{faulted}.json").read_text()
         assert a != b
+
+
+def test_compare_tolerates_ulps_and_flags_real_moves():
+    """``--compare`` passes last-ulp float moves and fails everything else:
+    larger float moves, changed ints/strings, and added/removed keys."""
+    old = {"t": 0.1, "n": 3, "s": "a", "xs": [1.0, 2.0]}
+    ulp = {**old, "t": float(np.nextafter(0.1, 1.0))}
+    lines, ok = golden_cases.compare_documents(old, ulp)
+    assert ok and lines[0] == "within tolerance"
+    for new in (
+        {**old, "t": 0.1 * (1 + 1e-9)},
+        {**old, "n": 4},
+        {**old, "s": "b"},
+        {**old, "extra": 1.0},
+        {k: v for k, v in old.items() if k != "xs"},
+        {**old, "xs": [1.0]},
+    ):
+        assert not golden_cases.compare_documents(old, new)[1], new

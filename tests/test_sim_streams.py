@@ -7,14 +7,11 @@ Covers the invariants the overlap engines lean on:
 - dependency stalls are recorded as non-busy wait spans;
 - the event loop is deterministic: the same launch program replays to the
   identical span sequence and event times;
-- straggler ``scale_hooks`` dilate busy time *through* stream timestamps;
-- the relative-time window arithmetic matches the legacy overlap formulas
-  bit for bit.
+- straggler ``scale_hooks`` dilate busy time *through* stream timestamps.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,9 +22,7 @@ from repro.sim import (
     DeviceStreams,
     Event,
     EventLoop,
-    OverlapWindow,
     Stream,
-    VirtualStream,
     join,
     streams_for,
 )
@@ -228,40 +223,6 @@ class TestDeviceStreams:
         assert ev.time == 3.0
         assert n0.gpu_clock[0].now == 3.0
         assert n1.gpu_clock[1].now == 3.0
-
-
-# ---------------------------------------------------------------------------
-# relative-time windows
-# ---------------------------------------------------------------------------
-
-
-class TestWindows:
-    def test_virtual_stream_matches_legacy_cursor_loop(self):
-        """The VirtualStream recurrence is float-for-float the legacy
-        ``stream_free`` loop of plan_grad_sync."""
-        rng = np.random.default_rng(5)
-        durations = rng.uniform(1e-6, 1e-3, size=32)
-        floors = rng.uniform(-1e-3, 1e-3, size=32)
-        vs = VirtualStream()
-        stream_free = -float("inf")
-        for d, f in zip(durations, floors):
-            start, end = vs.launch(d, not_before=f)
-            legacy_start = max(f, stream_free)
-            stream_free = legacy_start + d
-            assert start == legacy_start and end == stream_free
-
-    @given(
-        train=st.floats(0, 1e3, allow_nan=False),
-        prefetch=st.floats(0, 1e3, allow_nan=False),
-    )
-    def test_window_exposed_matches_legacy_formula(self, train, prefetch):
-        window = OverlapWindow(charged=prefetch)
-        window.stream("compute").launch(train)
-        assert window.exposed == max(0.0, train - prefetch)
-        assert window.hidden == train - window.exposed
-
-    def test_empty_window_exposes_nothing(self):
-        assert OverlapWindow(charged=1.0).exposed == 0.0
 
 
 # ---------------------------------------------------------------------------
