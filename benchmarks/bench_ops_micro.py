@@ -2,11 +2,13 @@
 
 Unlike the table/figure benches these measure *this implementation's*
 throughput (useful for tracking regressions in the vectorised kernels),
-not the simulated DGX times.
+not the simulated DGX times.  The sampler cases include the shapes the
+training workloads run: degrees just above the fan-out (every sampled row
+collides) and a neighbor stream far longer than its ID range.  CI runs the
+file with ``--benchmark-disable`` (each case once) so it cannot rot.
 """
 
 import numpy as np
-import pytest
 
 from repro.ops.append_unique import append_unique
 from repro.ops.sampling import batch_sample_without_replacement
@@ -24,9 +26,28 @@ def test_bench_parallel_sampler(benchmark):
     )
 
 
+def test_bench_parallel_sampler_near_fanout(benchmark):
+    # ogbn-products-like rows: degree 31-60 against a fan-out of 30, so
+    # draws collide in every row and the redirect chains are exercised
+    counts = RNG.integers(31, 61, size=60_000)
+    benchmark(
+        batch_sample_without_replacement, counts, 30,
+        np.random.default_rng(1),
+    )
+
+
 def test_bench_append_unique(benchmark):
+    # IDs span 1M, wider than the table: the all-lanes insert
     targets = RNG.choice(1_000_000, size=5_000, replace=False)
     neighbors = RNG.integers(0, 1_000_000, size=150_000)
+    benchmark(append_unique, targets, neighbors)
+
+
+def test_bench_append_unique_dense(benchmark):
+    # a deep layer's stream: 1.8M sampled neighbors over a 60k-node graph,
+    # nearly all of them already targets — the dense first-occurrence map
+    targets = RNG.permutation(60_000)[:59_000]
+    neighbors = RNG.integers(0, 60_000, size=1_800_000)
     benchmark(append_unique, targets, neighbors)
 
 

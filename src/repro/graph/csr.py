@@ -26,6 +26,7 @@ class CSRGraph:
             if edge_weights is None
             else np.ascontiguousarray(edge_weights, dtype=np.float32)
         )
+        self._sorted_edge_keys = None
         self.validate()
 
     # -- invariants -------------------------------------------------------------
@@ -75,6 +76,21 @@ class CSRGraph:
         """``(start, end)`` index ranges into ``indices`` for each node."""
         nodes = np.asarray(nodes, dtype=np.int64)
         return self.indptr[nodes], self.indptr[nodes + 1]
+
+    def sorted_edge_keys(self) -> np.ndarray:
+        """The pair key ``row * num_nodes + neighbor`` of every edge, ascending.
+
+        One ``searchsorted`` over the keys tests any batch of node pairs for
+        membership.  Built by the first call and kept, since the CSR arrays
+        are never mutated after construction.
+        """
+        if self._sorted_edge_keys is None:
+            rows = np.arange(self.num_nodes, dtype=np.int64) * self.num_nodes
+            keys = np.repeat(rows, self.degrees())
+            keys += self.indices
+            keys.sort()
+            self._sorted_edge_keys = keys
+        return self._sorted_edge_keys
 
     # -- transforms ---------------------------------------------------------------
 

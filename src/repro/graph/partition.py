@@ -20,16 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.hashing import splitmix64
 from repro.utils.ids import make_global_ids, split_global_ids
-
-
-def splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser — a high-quality 64-bit integer mix."""
-    z = x.astype(np.uint64, copy=True)
-    z += np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 @dataclass

@@ -13,7 +13,9 @@ Given the mini-batch *target* nodes and the (duplicate-laden) sampled
 The implementation follows the paper's hash-table construction literally:
 
 1. insert targets with value = index-in-target-list;
-2. insert neighbors with value = -1 (idempotent; duplicates hit);
+2. insert neighbors with value = -1 (idempotent; duplicates hit) — each
+   distinct neighbor once, which leaves the same table as every sampled
+   lane (see :func:`append_unique`);
 3. per *bucket*, count the ``-1`` values; exclusive-prefix-sum the bucket
    counts; add the target count — this assigns neighbor sub-graph IDs in
    (bucket, slot) order without any sort;
@@ -43,12 +45,35 @@ class AppendUniqueResult:
     neighbor_subgraph_ids: np.ndarray
     #: per-unique-node count of appearances in the neighbor input
     duplicate_counts: np.ndarray
-    #: probe rounds used (cost-model input)
+    #: probe rounds the emulated inserts used (not charged: the sampler
+    #: prices the expected probes per key instead)
     probe_rounds: int
 
     @property
     def num_unique(self) -> int:
         return int(self.unique_nodes.shape[0])
+
+
+def _distinct_neighbors(
+    neighbors: np.ndarray, bound: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct ``neighbors`` in first-occurrence order, and their map.
+
+    One ``np.minimum.at`` pass over a dense array indexed by node ID finds
+    each ID's first lane; the array has ``max(neighbors) + 1`` entries, so
+    it is only built when every ID lies in ``[0, bound)``.  Returns
+    ``(keys, first)`` — ``first[v]`` is the first lane holding ``v``, and
+    the caller may reuse the array as per-ID scratch space — or
+    ``(neighbors, None)`` for wider ID ranges.
+    """
+    n = neighbors.shape[0]
+    if n == 0 or neighbors.min() < 0 or neighbors.max() >= bound:
+        return neighbors, None
+    first = np.full(int(neighbors.max()) + 1, n, dtype=np.int64)
+    np.minimum.at(first, neighbors, np.arange(n, dtype=np.int64))
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first[first < n]] = True
+    return neighbors[is_first], first
 
 
 def append_unique(
@@ -62,53 +87,56 @@ def append_unique(
     ``target_nodes`` must already be duplicate-free (they are the previous
     layer's unique output).  Neighbors that coincide with a target map to
     the target's sub-graph ID.
+
+    Step 2 inserts each distinct neighbor once, in first-occurrence order,
+    instead of every sampled lane.  The table ends up slot-for-slot the
+    same: all lanes carrying one key probe the same slots in lockstep, and
+    the lowest lane wins each CAS, so only a key's first occurrence ever
+    decides anything (the all-lanes kernel only needs up to one more probe
+    round, in which the losing duplicate lanes re-read the slot their key's
+    first lane claimed).  The distinct keys are found with a dense map over
+    node IDs whenever the largest ID fits in the table's capacity — the map
+    then allocates no more than the table itself; wider ID ranges insert
+    every lane.
     """
     targets = np.asarray(target_nodes, dtype=np.int64).ravel()
     neighbors = np.asarray(neighbor_nodes, dtype=np.int64).ravel()
     nt = targets.shape[0]
-    if nt and np.unique(targets).shape[0] != nt:
-        raise ValueError("target nodes must be unique")
 
     capacity = max(int((nt + neighbors.shape[0]) / load_factor), bucket_size)
     table = GpuHashTable(capacity, bucket_size=bucket_size)
 
-    # step 1: targets carry their list index as value (first table of Fig. 5)
-    _, _, rounds_t = table.insert(targets, np.arange(nt, dtype=np.int64))
+    # step 1: targets carry their list index as value (first table of Fig. 5);
+    # a target that finds its own key already inserted is a duplicate
+    _, repeated, rounds_t = table.insert(targets, np.arange(nt, dtype=np.int64))
+    if repeated.any():
+        raise ValueError("target nodes must be unique")
 
     # step 2: neighbors insert with value -1 (second table of Fig. 5);
-    # duplicates and target-coincident nodes report `found`.
-    nbr_slots, _, rounds_n = table.insert(
-        neighbors, np.full(neighbors.shape[0], EMPTY_KEY)
-    ) if neighbors.size else (np.empty(0, np.int64), None, 0)
+    # target-coincident nodes report `found`, every other key's one
+    # not-found lane is the slot it claimed.
+    keys, id_map = _distinct_neighbors(neighbors, table.capacity)
+    key_slots, found, rounds_n = table.insert(keys, EMPTY_KEY)
 
     # step 3: bucket-count the -1 values, exclusive scan, offset by target
-    # count (third and fourth tables of Fig. 5).
-    occ = table.occupied_slots()
-    is_new_neighbor = table.values[occ] == EMPTY_KEY
-    buckets = table.bucket_of_slot(occ)
-    bucket_counts = np.bincount(
-        buckets[is_new_neighbor], minlength=table.num_buckets
-    )
-    bucket_starts = exclusive_prefix_sum(bucket_counts) + nt
-
-    # assign IDs in (bucket, slot) order: within a bucket, occupied -1 slots
-    # get consecutive IDs from the bucket's start.
-    new_slots = occ[is_new_neighbor]
-    new_buckets = buckets[is_new_neighbor]
-    # occ is slot-sorted, so positions within each bucket are already ordered
-    within = np.arange(new_slots.shape[0]) - exclusive_prefix_sum(
-        bucket_counts
-    )[new_buckets]
-    sub_ids = bucket_starts[new_buckets] + within
+    # count (third and fourth tables of Fig. 5) — this assigns IDs in
+    # (bucket, slot) order: within a bucket, the -1 slots get consecutive
+    # IDs from the bucket's start.
+    new_slots = np.sort(key_slots[~found])
+    new_buckets = table.bucket_of_slot(new_slots)
+    bucket_counts = np.bincount(new_buckets, minlength=table.num_buckets)
+    bucket_offsets = exclusive_prefix_sum(bucket_counts)
+    within = np.arange(new_slots.shape[0]) - bucket_offsets[new_buckets]
+    sub_ids = (bucket_offsets + nt)[new_buckets] + within
     table.set_value(new_slots, sub_ids)
 
-    # step 4: read back per-input sub-graph IDs and build the unique list.
-    if neighbors.size:
-        neighbor_subgraph_ids = table.values[nbr_slots]
-    else:
-        neighbor_subgraph_ids = np.empty(0, dtype=np.int64)
+    # step 4: read back per-input sub-graph IDs and build the unique list
+    neighbor_subgraph_ids = table.values[key_slots]
+    if id_map is not None:
+        id_map[keys] = neighbor_subgraph_ids
+        neighbor_subgraph_ids = id_map[neighbors]
 
-    num_unique = nt + int(is_new_neighbor.sum())
+    num_unique = nt + new_slots.shape[0]
     unique_nodes = np.empty(num_unique, dtype=np.int64)
     unique_nodes[:nt] = targets
     unique_nodes[sub_ids] = table.keys[new_slots]

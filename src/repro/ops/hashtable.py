@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.partition import splitmix64
+from repro.utils.hashing import splitmix64
 
 EMPTY_KEY = np.int64(-1)
 

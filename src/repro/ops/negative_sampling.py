@@ -4,7 +4,9 @@ The paper motivates GNNs with link prediction among its target tasks (§I).
 Training a link predictor needs *negative* examples — node pairs that are
 not edges.  :func:`sample_negative_edges` draws uniform corruptions with
 rejection against the CSR adjacency, vectorised in rounds: draw candidates,
-test membership against the row-sorted adjacency, redraw the hits.
+test membership against the graph's sorted edge keys
+(:meth:`~repro.graph.csr.CSRGraph.sorted_edge_keys`, built once per graph),
+redraw the hits.
 """
 
 from __future__ import annotations
@@ -29,21 +31,17 @@ def sort_rows(csr: CSRGraph) -> CSRGraph:
                     edge_weights=weights, num_nodes=csr.num_nodes)
 
 
-def edges_exist(sorted_csr: CSRGraph, src, dst) -> np.ndarray:
+def edges_exist(csr: CSRGraph, src, dst) -> np.ndarray:
     """Vectorised membership test: is ``(src[i], dst[i])`` an edge?
 
-    Requires row-sorted neighbor lists (:func:`sort_rows`).  Works on the
-    flat ``indices`` array: within row ``r`` the entries are ascending, so
-    a global ``searchsorted`` over the *pair key* ``row * N + neighbor``
-    (which is globally ascending in CSR-with-sorted-rows order) finds each
-    query in one pass.
+    Works on the *pair key* ``row * N + neighbor``: the graph's keys,
+    sorted once per graph, are globally ascending, so one ``searchsorted``
+    finds every query.  ``csr`` need not be row-sorted.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    n = sorted_csr.num_nodes
-    rows = segment_ids_from_indptr(sorted_csr.indptr)
-    edge_keys = rows * n + sorted_csr.indices  # globally ascending
-    query_keys = src * n + dst
+    edge_keys = csr.sorted_edge_keys()
+    query_keys = src * csr.num_nodes + dst
     pos = np.searchsorted(edge_keys, query_keys)
     found = np.zeros(src.shape[0], dtype=bool)
     in_range = pos < edge_keys.shape[0]
@@ -74,11 +72,10 @@ def sample_negative_edges(
     almost always suffices.  Raises if the graph is so dense that
     ``max_rounds`` redraws cannot find enough non-edges.
     """
-    sorted_csr = sort_rows(csr)
     src = rng.integers(0, csr.num_nodes, size=num_samples).astype(np.int64)
     dst = rng.integers(0, csr.num_nodes, size=num_samples).astype(np.int64)
     for _ in range(max_rounds):
-        bad = (src == dst) | edges_exist(sorted_csr, src, dst)
+        bad = (src == dst) | edges_exist(csr, src, dst)
         n_bad = int(bad.sum())
         if n_bad == 0:
             return src, dst

@@ -47,7 +47,6 @@ def sample_layer(
     counts = np.minimum(deg, fanout)
     out_offsets = exclusive_prefix_sum(counts)
     total = int(counts.sum())
-    flat = np.empty(total, dtype=np.int64)
     positions = np.empty(total, dtype=np.int64)
 
     # Case M >= N: take every neighbor; "each thread can simply output its
@@ -59,22 +58,18 @@ def sample_layer(
         within = np.arange(int(c.sum()), dtype=np.int64) - np.repeat(
             exclusive_prefix_sum(c), c
         )
-        src_pos = reps + within
-        dst_pos = np.repeat(out_offsets[take_all], c) + within
-        flat[dst_pos] = indices[src_pos]
-        positions[dst_pos] = src_pos
+        positions[np.repeat(out_offsets[take_all], c) + within] = reps + within
 
     # Case M < N: Algorithm 1, batched over all such targets.
     need_sample = ~take_all
     if np.any(need_sample):
-        slots = batch_sample_without_replacement(
+        edge_pos = batch_sample_without_replacement(
             deg[need_sample], fanout, rng
         )
-        edge_pos = starts[need_sample][:, None] + slots
-        sampled = indices[edge_pos]
-        dst = out_offsets[need_sample][:, None] + np.arange(fanout)[None, :]
-        flat[dst.ravel()] = sampled.ravel()
+        edge_pos += starts[need_sample][:, None]
+        dst = out_offsets[need_sample][:, None] + np.arange(fanout)
         positions[dst.ravel()] = edge_pos.ravel()
+    flat = indices[positions].astype(np.int64, copy=False)
     return flat, counts, positions
 
 

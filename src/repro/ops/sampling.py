@@ -12,7 +12,9 @@ pick.  The paper adopts the path-doubling scheme of Rajan, Ghosh & Gupta
    lane index into one 64-bit key and radix-sorts once — reproduced here);
 3. colliding draws are redirected to the "reserved" values
    ``{N-M, …, N-1}`` through a successor ``chain`` array resolved with
-   path doubling (``chain[i] = chain[chain[i]]`` for ``log M`` rounds);
+   path doubling (``chain[i] = chain[chain[i]]`` for ``log M`` rounds) —
+   here, for just the lanes that read a redirect, by following their
+   pointers to the same fixpoint;
 4. each lane emits either its own draw (first of its value group) or the
    redirect of its predecessor in the sorted order.
 
@@ -25,7 +27,7 @@ Two entry points:
   literal transcription of Algorithm 1;
 - :func:`batch_sample_without_replacement` — the batched form used by the
   training pipeline: one CUDA thread block per target node becomes one row
-  of a ``(B, M)`` array program, all rows resolved simultaneously.
+  of ``M`` lanes in a flat array program, all rows resolved simultaneously.
 """
 
 from __future__ import annotations
@@ -36,31 +38,19 @@ import numpy as np
 def _parallel_sort_packed(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The paper's radix-sort trick: pack value<<32 | index, sort once.
 
-    Returns ``(s, p)``: sorted values and the original index of each.
-    Packing makes the sort stable by construction (ties broken by index),
-    exactly like the 64-bit radix sort in the CUDA implementation.
+    Sorts each row of ``r`` and returns ``(s, p)``: the sorted values and
+    the *flat* index (``row * M + lane``) of each.  Packing makes the sort
+    stable by construction (ties broken by index), exactly like the 64-bit
+    radix sort in the CUDA implementation; within a row the flat index
+    orders like the lane, so it breaks ties identically.
     """
-    idx = np.arange(r.shape[-1], dtype=np.uint64)
-    packed = (r.astype(np.uint64) << np.uint64(32)) | idx
+    packed = r.astype(np.uint64)
+    packed <<= np.uint64(32)
+    packed |= np.arange(r.size, dtype=np.uint64).reshape(r.shape)
     packed.sort(axis=-1)
-    s = (packed >> np.uint64(32)).astype(np.int64)
-    p = (packed & np.uint64(0xFFFFFFFF)).astype(np.int64)
+    s = (packed >> np.uint64(32)).view(np.int64)
+    p = (packed & np.uint64(0xFFFFFFFF)).view(np.int64)
     return s, p
-
-
-def _path_doubling(chain: np.ndarray) -> np.ndarray:
-    """Resolve successor chains: ``chain[i] <- chain[chain[i]]`` to fixpoint.
-
-    Converges in ``ceil(log2(len))`` rounds — the classic pointer-jumping
-    primitive (line 12 of Algorithm 1).
-    """
-    m = chain.shape[-1]
-    rounds = max(1, int(np.ceil(np.log2(max(m, 2)))))
-    for _ in range(rounds):
-        chain = np.take_along_axis(
-            chain, chain, axis=-1
-        ) if chain.ndim > 1 else chain[chain]
-    return chain
 
 
 def parallel_sample_without_replacement(
@@ -112,53 +102,49 @@ def batch_sample_without_replacement(
     if np.any(counts < m):
         raise ValueError("every row must satisfy N >= M")
 
-    lanes = np.arange(m, dtype=np.int64)
     # line 2: r[i] ~ uniform[0, N-1-i]
-    spans = counts[:, None] - lanes[None, :]  # N - i, always >= 1
-    r = (rng.random((b, m)) * spans).astype(np.int64)
-    # line 3: chain[i] = i
-    chain = np.broadcast_to(lanes, (b, m)).copy()
+    r = rng.random((b, m))
+    r *= counts[:, None] - np.arange(m, dtype=np.int64)
+    # line 5: s, p = parallel_sort(r)  (packed 64-bit radix sort).  From
+    # here on every array is flat: sorted position i of row b is b*M + i,
+    # and p holds flat lane indices b*M + lane.
+    s, p = _parallel_sort_packed(r.astype(np.int64))
+    s, p = s.ravel(), p.ravel()
+    total = b * m
+    # value-group bounds in sorted order: new_group[i] marks the first of
+    # its group, so new_group[i + 1] marks the last (lines 8 and 17)
+    new_group = np.empty(total + 1, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=new_group[1:total])
+    new_group[::m] = True
+    row_base = np.arange(0, total, m, dtype=np.int64)
 
-    # line 5: s, p = parallel_sort(r)  (packed 64-bit radix sort)
-    s, p = _parallel_sort_packed(r)
+    # lines 3 and 8-10: chain[i] = i, then the last of each value group with
+    # s[i] >= N-M claims slot chain[N - s[i] - 1] = p[i]
+    slots = counts[:, None] - 1 - s.reshape(b, m)
+    claim = new_group[1:] & (slots.ravel() < m)
+    slots += row_base[:, None]
+    chain = np.arange(total, dtype=np.int64)
+    chain[slots.ravel()[claim]] = p[claim]
 
-    # line 7: q[p[i]] = i
-    q = np.empty_like(p)
-    np.put_along_axis(q, p, np.broadcast_to(lanes, (b, m)), axis=1)
-
-    # lines 8-10: last occurrence of each value group with s[i] >= N-M
-    # claims slot chain[N - s[i] - 1] = p[i]
-    is_group_end = np.ones((b, m), dtype=bool)
-    is_group_end[:, :-1] = s[:, :-1] != s[:, 1:]
-    eligible = is_group_end & (s >= (counts[:, None] - m))
-    slots = counts[:, None] - s - 1  # N - s[i] - 1, in [0, M) when eligible
-    rows = np.broadcast_to(np.arange(b)[:, None], (b, m))
-    chain[rows[eligible], slots[eligible]] = p[eligible]
-
-    # line 12: path doubling
-    chain = _path_doubling(chain)
-
-    # line 14: last[i] = N - chain[i] - 1
-    last = counts[:, None] - chain - 1
-
-    # lines 16-22: emit own draw for the first of each value group, else the
-    # redirect of the predecessor in sorted order.
-    res = np.empty((b, m), dtype=np.int64)
-    qi = q  # q[i] = position of lane i in sorted order
-    prev_pos = qi - 1
-    first_of_group = np.zeros((b, m), dtype=bool)
-    first_of_group[:, 0] = True  # line 17: i == 0
-    first_of_group |= qi == 0
-    safe_prev = np.maximum(prev_pos, 0)
-    s_at_q = np.take_along_axis(s, qi, axis=1)
-    s_at_prev = np.take_along_axis(s, safe_prev, axis=1)
-    first_of_group |= s_at_q != s_at_prev
-    res[first_of_group] = r[first_of_group]
-    # res[i] = last[p[q[i]-1]] for the rest
-    p_prev = np.take_along_axis(p, safe_prev, axis=1)
-    last_redirect = np.take_along_axis(last, p_prev, axis=1)
-    res[~first_of_group] = last_redirect[~first_of_group]
-    return res
+    # lines 16-22: the first of each value group emits its own draw; every
+    # other lane emits N - chain*[p[i-1]] - 1, where chain* resolves the
+    # predecessor's redirect chain.  Line 12 resolves all of chain by path
+    # doubling; only these lanes read it, and chain[k] <= k (lane k draws at
+    # most N-1-k), so following their pointers reaches the same fixpoint in
+    # at most M-1 hops.
+    out = s.copy()
+    dup = np.flatnonzero(~new_group[:total])
+    root = chain[p[dup - 1]]
+    while True:
+        nxt = chain[root]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    rows = dup // m
+    out[dup] = counts[rows] - 1 - (root - row_base[rows])
+    res = np.empty(total, dtype=np.int64)
+    res[p] = out
+    return res.reshape(b, m)
 
 
 def batch_sample_with_replacement(

@@ -1,12 +1,15 @@
 """Extensions: host-pinned storage, edge features, link prediction,
 multi-node cluster training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterTrainer
 from repro.dsm import HostPinnedTensor
 from repro.graph import MultiGpuGraphStore, load_dataset
+from repro.graph.csr import CSRGraph
 from repro.hardware import SimNode
 from repro.nn import Tensor
 from repro.nn import functional as F
@@ -167,6 +170,58 @@ def test_negative_edges_are_non_edges(small_dataset, rng):
     src, dst = sample_negative_edges(g, 300, rng)
     assert not edges_exist(sort_rows(g), src, dst).any()
     assert np.all(src != dst)
+
+
+def test_edges_exist_needs_no_row_sort(small_dataset, rng):
+    g = small_dataset.graph
+    # sort every neighbor list descending, so no row is ascending
+    rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+    shuffled = CSRGraph(g.indptr, g.indices[np.lexsort((-g.indices, rows))],
+                        num_nodes=g.num_nodes)
+    src = rng.integers(0, g.num_nodes, size=500)
+    dst = rng.integers(0, g.num_nodes, size=500)
+    src[:250], dst[:250] = sample_positive_edges(g, 250, rng)
+    assert np.array_equal(edges_exist(shuffled, src, dst),
+                          edges_exist(sort_rows(g), src, dst))
+
+
+def _negative_edges_reference(csr, num_samples, rng, max_rounds=32):
+    """Rejection sampling against a Python set of the graph's edges."""
+    rows = np.repeat(np.arange(csr.num_nodes), np.diff(csr.indptr))
+    edges = set(zip(rows.tolist(), csr.indices.tolist()))
+    src = rng.integers(0, csr.num_nodes, size=num_samples).astype(np.int64)
+    dst = rng.integers(0, csr.num_nodes, size=num_samples).astype(np.int64)
+    for _ in range(max_rounds):
+        bad = np.array([a == b or (a, b) in edges
+                        for a, b in zip(src.tolist(), dst.tolist())],
+                       dtype=bool)
+        if not bad.any():
+            return src, dst
+        src[bad] = rng.integers(0, csr.num_nodes, size=int(bad.sum()))
+        dst[bad] = rng.integers(0, csr.num_nodes, size=int(bad.sum()))
+    raise RuntimeError("too dense")
+
+
+def test_negative_sampling_sorts_each_graph_once(small_dataset):
+    """The edge keys are sorted on a graph's first batch only: every later
+    batch allocates far less than one edge-sized array.  The draws and
+    pairs are those of plain rejection sampling."""
+    g = small_dataset.graph
+    fresh = CSRGraph(g.indptr, g.indices, num_nodes=g.num_nodes)
+    got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for call in range(3):
+        tracemalloc.start()
+        try:
+            got = sample_negative_edges(fresh, 400, got_rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if call:
+            assert peak < 8 * fresh.num_edges // 4
+        ref = _negative_edges_reference(fresh, 400, ref_rng)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+    assert got_rng.random() == ref_rng.random()
 
 
 def test_positive_edge_sampling_valid(small_dataset, rng):

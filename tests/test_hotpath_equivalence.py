@@ -5,16 +5,21 @@ Each vectorized kernel is checked against a straightforward loop reference
 behind ``segment_sum`` and the fused ``gat_aggregate`` must be *bitwise*
 identical to one global cumsum over materialized per-edge messages, the
 gather reply assembly must
-reproduce the loop-built replies and byte accounting, and the batched
+reproduce the loop-built replies and byte accounting, the batched
 hash-table probe must resolve exactly like the slot-at-a-time loop —
-including wrap-around chains and missing keys.
+including wrap-around chains and missing keys — and the sampler's two
+kernels must return exactly what their literal transcriptions return:
+AppendUnique with every sampled lane inserted, and Algorithm 1 as a 2-D
+array program with path doubling.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.dsm.comm import Communicator
@@ -22,14 +27,22 @@ from repro.dsm.whole_tensor import WholeTensor
 from repro.hardware import SimNode
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.ops import neighbor_sampler
+from repro.ops.append_unique import (
+    AppendUniqueResult,
+    _distinct_neighbors,
+    append_unique,
+)
 from repro.ops.gather import distributed_memory_gather
 from repro.ops.hashtable import EMPTY_KEY, GpuHashTable
+from repro.ops.sampling import batch_sample_without_replacement
 from repro.ops.segment import (
     chunk_rows,
     prefix_sums_at,
     segment_ids_from_indptr,
     segment_sum,
 )
+from repro.utils.scan import exclusive_prefix_sum
 
 # ---------------------------------------------------------------------------
 # segment_sum: chunked carry kernel is bit-identical to one global cumsum
@@ -401,3 +414,268 @@ def test_sampler_block_indptr_structure(small_store, registry):
         assert np.all(np.diff(indptr) >= 0)
         assert indptr[-1] == block.indices.shape[0]
         assert indptr.shape[0] == block.num_targets + 1
+
+
+# ---------------------------------------------------------------------------
+# AppendUnique: dedupe-first insert vs every sampled lane inserted
+# ---------------------------------------------------------------------------
+
+
+def _append_unique_reference(target_nodes, neighbor_nodes, bucket_size=128,
+                             load_factor=0.5):
+    """The all-lanes AppendUnique: every neighbor lane probes the table,
+    and the IDs come from a scan of the whole slot array (Fig. 5 read
+    literally)."""
+    targets = np.asarray(target_nodes, dtype=np.int64).ravel()
+    neighbors = np.asarray(neighbor_nodes, dtype=np.int64).ravel()
+    nt = targets.shape[0]
+    if nt and np.unique(targets).shape[0] != nt:
+        raise ValueError("target nodes must be unique")
+    capacity = max(int((nt + neighbors.shape[0]) / load_factor), bucket_size)
+    table = GpuHashTable(capacity, bucket_size=bucket_size)
+    _, _, rounds_t = table.insert(targets, np.arange(nt, dtype=np.int64))
+    nbr_slots, _, rounds_n = table.insert(
+        neighbors, np.full(neighbors.shape[0], EMPTY_KEY)
+    ) if neighbors.size else (np.empty(0, np.int64), None, 0)
+    occ = table.occupied_slots()
+    is_new_neighbor = table.values[occ] == EMPTY_KEY
+    buckets = table.bucket_of_slot(occ)
+    bucket_counts = np.bincount(
+        buckets[is_new_neighbor], minlength=table.num_buckets
+    )
+    bucket_starts = exclusive_prefix_sum(bucket_counts) + nt
+    new_slots = occ[is_new_neighbor]
+    new_buckets = buckets[is_new_neighbor]
+    within = np.arange(new_slots.shape[0]) - exclusive_prefix_sum(
+        bucket_counts
+    )[new_buckets]
+    sub_ids = bucket_starts[new_buckets] + within
+    table.set_value(new_slots, sub_ids)
+    if neighbors.size:
+        neighbor_subgraph_ids = table.values[nbr_slots]
+    else:
+        neighbor_subgraph_ids = np.empty(0, dtype=np.int64)
+    num_unique = nt + int(is_new_neighbor.sum())
+    unique_nodes = np.empty(num_unique, dtype=np.int64)
+    unique_nodes[:nt] = targets
+    unique_nodes[sub_ids] = table.keys[new_slots]
+    duplicate_counts = np.bincount(
+        neighbor_subgraph_ids, minlength=num_unique
+    ).astype(np.int64)
+    return AppendUniqueResult(
+        unique_nodes=unique_nodes,
+        num_targets=nt,
+        neighbor_subgraph_ids=neighbor_subgraph_ids,
+        duplicate_counts=duplicate_counts,
+        probe_rounds=int(rounds_t + rounds_n),
+    )
+
+
+def _table_capacity(num_keys: int, bucket_size: int) -> int:
+    """The capacity ``append_unique`` allocates for ``num_keys`` inputs."""
+    requested = max(int(num_keys / 0.5), bucket_size)
+    return -(-requested // bucket_size) * bucket_size
+
+
+def _assert_same_append_unique(got, ref):
+    for field in ("unique_nodes", "neighbor_subgraph_ids", "duplicate_counts"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype == np.int64, field
+        assert np.array_equal(a, b), field
+    assert got.num_targets == ref.num_targets
+    # the losing duplicate lanes of the all-lanes insert need at most one
+    # more round to re-read the slot their key's first lane claimed
+    assert ref.probe_rounds - 1 <= got.probe_rounds <= ref.probe_rounds
+
+
+@st.composite
+def append_unique_inputs(draw):
+    """Targets and neighbors with IDs on both sides of the dense bound."""
+    bucket_size = draw(st.integers(4, 128))
+    nt = draw(st.sampled_from([0, 1]) | st.integers(0, 60))
+    n = draw(st.sampled_from([0, 1]) | st.integers(0, 400))
+    capacity = _table_capacity(nt + n, bucket_size)
+    # ID ranges: well inside the table, exactly filling it (the largest
+    # dense map), one past it, and 40-bit IDs
+    span = draw(st.sampled_from(
+        [max(1, capacity // 8), capacity, capacity + 1, 2**40]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nt = min(nt, span)
+    targets = rng.permutation(
+        np.unique(rng.integers(0, span, size=4 * nt + 1))
+    )[:nt]
+    neighbors = rng.integers(0, span, size=n)
+    mode = draw(st.sampled_from(["random", "all-targets", "mixed"]))
+    if nt and mode == "all-targets":
+        neighbors = rng.choice(targets, size=n)
+    elif nt and mode == "mixed":
+        take = rng.random(n) < 0.5
+        neighbors[take] = rng.choice(targets, size=int(take.sum()))
+    if n and draw(st.booleans()):
+        neighbors[rng.integers(0, n)] = span - 1  # the range's largest ID
+    return targets, neighbors, bucket_size
+
+
+def _dense_bound_case(past_bound: int, bucket_size: int):
+    """Inputs whose largest neighbor ID is the largest the dense map
+    accepts (``past_bound=0``) or the first it refuses (``1``)."""
+    rng = np.random.default_rng(7)
+    targets = rng.choice(500, size=50, replace=False)
+    neighbors = rng.integers(0, 500, size=2_000)
+    neighbors[7] = _table_capacity(2_050, bucket_size) - 1 + past_bound
+    return targets, neighbors, bucket_size
+
+
+@given(append_unique_inputs())
+@example(_dense_bound_case(0, 4))
+@example(_dense_bound_case(1, 128))
+def test_append_unique_matches_all_lanes_insert(data):
+    targets, neighbors, bucket_size = data
+    got = append_unique(targets, neighbors, bucket_size=bucket_size)
+    ref = _append_unique_reference(targets, neighbors, bucket_size=bucket_size)
+    _assert_same_append_unique(got, ref)
+
+
+def test_distinct_neighbors_dense_map_bounds():
+    neighbors = np.array([4, 2, 4, 9, 2, 0], dtype=np.int64)
+    keys, id_map = _distinct_neighbors(neighbors, 10)
+    assert keys.tolist() == [4, 2, 9, 0]  # first-occurrence order
+    assert id_map.shape == (10,)
+    assert id_map[[4, 2, 9, 0]].tolist() == [0, 1, 3, 5]
+    # one past the bound, negative IDs and no neighbors keep every lane
+    for nbrs, bound in ((neighbors, 9), (np.array([3, -2]), 10),
+                        (np.empty(0, np.int64), 10)):
+        keys, id_map = _distinct_neighbors(nbrs, bound)
+        assert id_map is None and keys is nbrs
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_append_unique_memory_scales_with_inputs_not_id_range():
+    """Memory guard: 40-bit IDs allocate O(targets + neighbors), never an
+    array over the ID range; at the widest ID range the dense map accepts,
+    it costs at most one table-capacity array over the all-lanes insert."""
+    rng = np.random.default_rng(0)
+    n, nt = 100_000, 2_000
+    targets = rng.permutation(np.unique(rng.integers(0, 2**40, size=nt)))
+    neighbors = rng.integers(0, 2**40, size=n)
+    inputs = targets.size + n
+    # in 8-byte words per input: the table's keys and values at 2 slots
+    # per input, the per-lane probe state and the hash temporaries
+    assert _traced_peak(append_unique, targets, neighbors) < 8 * 24 * inputs
+
+    capacity = _table_capacity(inputs, 128)
+    dense_nbrs = rng.integers(0, capacity, size=n)
+    dense_nbrs[0] = capacity - 1
+    dense_targets = rng.choice(capacity, size=targets.size, replace=False)
+    dense = _traced_peak(append_unique, dense_targets, dense_nbrs)
+    all_lanes = _traced_peak(
+        _append_unique_reference, dense_targets, dense_nbrs
+    )
+    assert dense <= all_lanes + 8 * capacity
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 1: flat-indexed sampler vs the literal 2-D transcription
+# ---------------------------------------------------------------------------
+
+
+def _batch_sample_reference(neighbor_counts, max_sample, rng):
+    """Algorithm 1 as a ``(B, M)`` array program, line by line: per-row
+    packed sort, ``put_along_axis``/``take_along_axis`` scatters and
+    ``ceil(log2 M)`` rounds of path doubling over the whole chain."""
+    counts = np.asarray(neighbor_counts, dtype=np.int64)
+    m = int(max_sample)
+    b = counts.shape[0]
+    if m == 0 or b == 0:
+        return np.empty((b, m), dtype=np.int64)
+    lanes = np.arange(m, dtype=np.int64)
+    spans = counts[:, None] - lanes[None, :]
+    r = (rng.random((b, m)) * spans).astype(np.int64)
+    chain = np.broadcast_to(lanes, (b, m)).copy()
+    packed = (r.astype(np.uint64) << np.uint64(32)) | lanes.astype(np.uint64)
+    packed.sort(axis=-1)
+    s = (packed >> np.uint64(32)).astype(np.int64)
+    p = (packed & np.uint64(0xFFFFFFFF)).astype(np.int64)
+    q = np.empty_like(p)
+    np.put_along_axis(q, p, np.broadcast_to(lanes, (b, m)), axis=1)
+    is_group_end = np.ones((b, m), dtype=bool)
+    is_group_end[:, :-1] = s[:, :-1] != s[:, 1:]
+    eligible = is_group_end & (s >= (counts[:, None] - m))
+    slots = counts[:, None] - s - 1
+    rows = np.broadcast_to(np.arange(b)[:, None], (b, m))
+    chain[rows[eligible], slots[eligible]] = p[eligible]
+    for _ in range(max(1, int(np.ceil(np.log2(max(m, 2)))))):
+        chain = np.take_along_axis(chain, chain, axis=-1)
+    last = counts[:, None] - chain - 1
+    res = np.empty((b, m), dtype=np.int64)
+    first_of_group = np.zeros((b, m), dtype=bool)
+    first_of_group[:, 0] = True
+    first_of_group |= q == 0
+    safe_prev = np.maximum(q - 1, 0)
+    first_of_group |= (np.take_along_axis(s, q, axis=1)
+                       != np.take_along_axis(s, safe_prev, axis=1))
+    res[first_of_group] = r[first_of_group]
+    p_prev = np.take_along_axis(p, safe_prev, axis=1)
+    last_redirect = np.take_along_axis(last, p_prev, axis=1)
+    res[~first_of_group] = last_redirect[~first_of_group]
+    return res
+
+
+@given(
+    st.sampled_from(["N==M", "N==M+1", "M==1", "N>>M", "mixed"]),
+    st.integers(1, 48),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_batch_sampler_matches_2d_reference(shape, m, b, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "M==1":
+        m = 1
+    counts = {
+        "N==M": np.full(b, m),
+        "N==M+1": np.full(b, m + 1),
+        "M==1": 1 + rng.integers(0, 50, size=b),
+        "N>>M": m + rng.integers(1_000, 2**31 - m, size=b),
+        "mixed": m + rng.integers(0, 3 * m, size=b),
+    }[shape].astype(np.int64)
+    got_rng = np.random.default_rng(seed + 1)
+    ref_rng = np.random.default_rng(seed + 1)
+    got = batch_sample_without_replacement(counts, m, got_rng)
+    ref = _batch_sample_reference(counts, m, ref_rng)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    # both consumed exactly the same draws
+    assert got_rng.random() == ref_rng.random()
+
+
+def test_neighbor_sampler_matches_reference_kernels(small_store, monkeypatch):
+    """A whole multi-layer sample is the one the literal kernels build."""
+    sampler = neighbor_sampler.NeighborSampler(
+        small_store, [10, 10, 5], charge=False
+    )
+    seeds = np.sort(np.random.default_rng(3).choice(
+        small_store.num_nodes, size=96, replace=False
+    ))
+    got = sampler.sample(seeds, 0, np.random.default_rng(4))
+    monkeypatch.setattr(neighbor_sampler, "batch_sample_without_replacement",
+                        _batch_sample_reference)
+    monkeypatch.setattr(neighbor_sampler, "append_unique",
+                        _append_unique_reference)
+    ref = sampler.sample(seeds, 0, np.random.default_rng(4))
+    assert len(got.frontiers) == len(ref.frontiers) == 4
+    for a, b in zip(got.frontiers, ref.frontiers):
+        assert np.array_equal(a, b)
+    for a, b in zip(got.blocks, ref.blocks):
+        assert (a.num_targets, a.num_src) == (b.num_targets, b.num_src)
+        for field in ("indptr", "indices", "duplicate_counts",
+                      "edge_positions"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
