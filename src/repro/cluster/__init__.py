@@ -1,6 +1,5 @@
-"""Multi-node scaling (paper §III-D, Fig. 13): analytic model + measured trainer."""
+"""Multi-node scaling (paper Fig. 13)."""
 
 from repro.cluster.multinode import MultiNodeCluster, scaling_curve
-from repro.cluster.trainer import ClusterTrainer
 
-__all__ = ["MultiNodeCluster", "scaling_curve", "ClusterTrainer"]
+__all__ = ["MultiNodeCluster", "scaling_curve"]

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import config
-from repro.cluster.trainer import ClusterTrainer
 from repro.experiments.common import get_dataset
 from repro.graph import MultiGpuGraphStore
 from repro.hardware import SimNode, costmodel
@@ -49,6 +48,7 @@ from repro.ops.spmm import atomic_elision_stats
 from repro.telemetry.report import format_table
 from repro.train import WholeGraphTrainer
 from repro.train.ddp import GradSyncModel
+from repro.train.plans import ClusterDataParallelPlan
 from repro.utils.rng import spawn_rng
 
 
@@ -392,17 +392,19 @@ def overlap_scaling_ablation(
     for k in node_counts:
         row = {"machine_nodes": k}
         for overlap in (False, True):
-            tr = ClusterTrainer(
-                ds, k, "graphsage", seed=seed, batch_size=batch_size,
+            store = MultiGpuGraphStore(SimNode(), ds, seed=seed)
+            tr = WholeGraphTrainer(
+                store, "graphsage", seed=seed, batch_size=batch_size,
                 fanouts=list(fanouts), hidden=hidden,
                 bucket_cap_mb=None if overlap else 0,
                 overlap_grad_sync=overlap,
+                plan=ClusterDataParallelPlan(num_machine_nodes=k),
             )
             stats = tr.train_epoch(max_iterations=iterations)
-            dev0 = tr.nodes[0].gpu_memory[0].device
+            dev0 = tr.node.gpu_memory[0].device
             key = "overlap" if overlap else "flat"
-            row[f"epoch_time_{key}"] = stats["epoch_time"]
-            row[f"exposed_{key}"] = tr.nodes[0].timeline.phase_total(
+            row[f"epoch_time_{key}"] = stats.epoch_time
+            row[f"exposed_{key}"] = tr.node.timeline.phase_total(
                 "allreduce", dev0
             )
         rows.append(row)

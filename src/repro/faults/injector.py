@@ -21,6 +21,7 @@ therefore every trained weight — is bit-identical to a fault-free run.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 
 from repro import config
 from repro.faults.plan import (
@@ -240,33 +241,35 @@ class FaultInjector:
     # -- permanent faults: polled by the trainers ----------------------------
 
     def _pending(
-        self, t: float, node_id: int | None
+        self, t: float, node_ids: Collection[int] | None
     ) -> list[tuple[int, RankFailure]]:
         out = []
         for i, ev in enumerate(self.plan.events):
             if not isinstance(ev, RankFailure) or i in self._fired:
                 continue
-            if node_id is not None and ev.node_id != node_id:
+            if node_ids is not None and ev.node_id not in node_ids:
                 continue
             if ev.time <= t:
                 out.append((i, ev))
         return out
 
     def pending_rank_failures(
-        self, t: float, node_id: int | None = None
+        self, t: float, node_ids: Collection[int] | None = None
     ) -> list[RankFailure]:
-        """Rank failures scheduled at or before ``t`` that have not fired."""
-        return [ev for _, ev in self._pending(t, node_id)]
+        """Rank failures scheduled at or before ``t`` that have not fired,
+        on any of ``node_ids`` (every machine node when ``None``)."""
+        return [ev for _, ev in self._pending(t, node_ids)]
 
     def poll_rank_failures(
-        self, t: float, node_id: int | None = None
+        self, t: float, node_ids: Collection[int] | None = None
     ) -> None:
-        """Raise :class:`RankFailureError` for newly-due rank failures.
+        """Raise :class:`RankFailureError` for newly-due rank failures on
+        any of ``node_ids`` (every machine node when ``None``).
 
         Each failure fires exactly once; after recovery the trainer keeps
         polling and only *later* failures can fire again.
         """
-        pending = self._pending(t, node_id)
+        pending = self._pending(t, node_ids)
         if not pending:
             return
         due = [ev for _, ev in pending]

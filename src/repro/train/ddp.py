@@ -10,7 +10,7 @@ with the still-running backward pass.  All replicas then step identically.
 *real* multi-replica training, with preallocated flat per-bucket gradient
 storage (no per-step concatenation);  :class:`GradSyncModel` prices the same
 bucketed schedule on the simulated clocks and is what the symmetric
-single-replica harness and the multi-node cluster trainer charge;
+single-replica harness and the multi-node cluster plan charge;
 :func:`charge_allreduce` remains the legacy flat, non-overlapped charge.
 """
 
@@ -307,12 +307,12 @@ class DistributedDataParallel:
                 p.grad = flat[offset : offset + size].reshape(p.data.shape)
                 offset += size
 
-    def assert_in_sync(self, atol: float = 1e-5) -> None:
-        """Verify replicas hold identical weights (test hook)."""
+    def assert_in_sync(self) -> None:
+        """Verify replicas hold bitwise identical weights (test hook)."""
         ref = self.replicas[0].state_dict()
         for i, r in enumerate(self.replicas[1:], start=1):
             for a, b in zip(ref, r.state_dict()):
-                if not np.allclose(a, b, atol=atol):
+                if not np.array_equal(a, b):
                     raise AssertionError(f"replica {i} diverged")
 
 

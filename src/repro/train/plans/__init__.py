@@ -12,7 +12,7 @@ regime), :class:`PipelineParallelPlan` (GNNPipe-style layer pipelining),
 :class:`HybridParallelPlan` (pipelined stages replicated into
 data-parallel groups), :class:`CagnetFullGraphPlan` (CAGNET-style 1.5D
 partitioned full-graph training) and :class:`ClusterDataParallelPlan`
-(the multi-machine regime behind :class:`~repro.cluster.ClusterTrainer`).
+(data parallelism over several machine nodes, one replica per node).
 """
 
 from repro.train.plans.base import ParallelismPlan, resolve_plan

@@ -32,10 +32,8 @@ from repro.dsm.comm import Communicator
 from repro.faults import RankFailureError
 from repro.hardware.machine import SimNode
 from repro.hardware.spec import dgx_a100
-from repro.nn.models import build_model
 from repro.nn.optim import Adam
 from repro.ops.neighbor_sampler import NeighborSampler
-from repro.telemetry import metrics
 from repro.train.ddp import DistributedDataParallel, GradSyncModel
 from repro.train.metrics import PhaseTimes
 from repro.train.pipeline import run_iteration
@@ -54,12 +52,7 @@ class DataParallelPlan(ParallelismPlan):
         t = trainer
         if t.compute_ranks == "all":
             t.replicas = [t.model] + [
-                build_model(
-                    t.model_name, t.store.feature_dim, t.store.num_classes,
-                    t.rngs.named(f"replica{r}"),
-                    hidden=t.hidden, num_layers=t.num_layers,
-                    dropout=t.dropout,
-                )
+                t._build_model(t.rngs.named(f"replica{r}"))
                 for r in range(1, t.node.num_gpus)
             ]
             t.comm = Communicator(t.node)
@@ -86,103 +79,22 @@ class DataParallelPlan(ParallelismPlan):
 
     def train_epoch(self, max_iterations):
         """One pass over the training nodes (optionally truncated)."""
-        from repro.train.trainer import EpochStats
-
         t = self.trainer
-        t.model.train()
         batches = t._epoch_batches()
         if max_iterations is not None:
             batches = batches[:max_iterations]
-        t_epoch_start = t.node.sync()
-        losses: list[float] = []
-        phase_totals = PhaseTimes()
-        cursor = 0
-        # grad-sync accumulators survive a mid-epoch recovery (a shrink
-        # replaces the node and its timeline, so deltas are per attempt)
-        ar_acc = aw_acc = hid_acc = 0.0
-        while True:
-            node = t.node
-            dev0 = node.gpu_memory[0].device
-            ar0 = node.timeline.phase_total("allreduce", dev0)
-            aw0 = node.timeline.phase_total("allreduce_wait", dev0)
-            hid0 = metrics.get_registry().total(
-                "grad_sync_hidden_seconds_total"
-            )
-            try:
-                if t.compute_ranks == "all":
-                    steps = map(self._step_all_ranks, batches[cursor:])
-                else:
-                    steps = self._symmetric_steps(
-                        batches[cursor:], phase_totals
-                    )
-                for loss in steps:
-                    losses.append(loss)
-                    cursor += 1
-                    t._poll_faults()
-                break
-            except RankFailureError as exc:
-                ar_acc += node.timeline.phase_total("allreduce", dev0) - ar0
-                aw_acc += (
-                    node.timeline.phase_total("allreduce_wait", dev0) - aw0
-                )
-                hid_acc += (
-                    metrics.get_registry().total(
-                        "grad_sync_hidden_seconds_total"
-                    )
-                    - hid0
-                )
-                batches, cursor, losses = self.recover(
-                    exc, batches, cursor, losses
-                )
-        node = t.node
-        t_epoch_end = node.sync()
-
         if t.compute_ranks == "all":
-            phase_totals = PhaseTimes(
-                sample=node.timeline.phase_total(
-                    "sample", node.gpu_memory[0].device
-                ),
-                gather=node.timeline.phase_total(
-                    "gather", node.gpu_memory[0].device
-                ),
-                train=node.timeline.phase_total(
-                    "train", node.gpu_memory[0].device
-                ),
+            return self.run_epoch(
+                batches,
+                lambda todo, _times: ([self._step_all_ranks(b)] for b in todo),
             )
-
-        stats = EpochStats(
-            epoch=t._epoch,
-            mean_loss=float(np.mean(losses)) if losses else float("nan"),
-            iterations=len(batches),
-            times=phase_totals,
-            epoch_time=t_epoch_end - t_epoch_start,
-            allreduce=(
-                ar_acc + node.timeline.phase_total("allreduce", dev0) - ar0
-            ),
-            allreduce_wait=(
-                aw_acc
-                + node.timeline.phase_total("allreduce_wait", dev0)
-                - aw0
-            ),
-            allreduce_hidden=(
-                hid_acc
-                + metrics.get_registry().total(
-                    "grad_sync_hidden_seconds_total"
-                )
-                - hid0
-            ),
-        )
-        t._epoch += 1
-        t.history.append(stats)
-        if t._needs_checkpoints():
-            t._save_checkpoint()
-        return stats
+        return self.run_epoch(batches, self._symmetric_steps)
 
     # -- step / schedule implementations -----------------------------------
 
     def _symmetric_steps(self, batches: list[np.ndarray],
                          times: PhaseTimes):
-        """Train ``batches`` off one loader; yields each step's loss.
+        """Train ``batches`` off one loader; yields each step's ``[loss]``.
 
         Rank 0 computes and the other ranks are charged its durations.
         The lookahead picks the schedule: 0 is sequential, 1 the
@@ -217,7 +129,7 @@ class DataParallelPlan(ParallelismPlan):
             )
             if not loader.streams_host:
                 node.sync()
-            yield loss
+            yield [loss]
 
     def _step_all_ranks(self, batch: np.ndarray) -> float:
         """True DDP: per-rank batches, real gradient all-reduce."""
@@ -250,14 +162,9 @@ class DataParallelPlan(ParallelismPlan):
 
     def _apply_recovery(self, exc, batches, cursor, losses):
         """Dispatch restart or elastic shrink (both supported here)."""
-        t = self.trainer
-        if t.recovery_policy == "shrink":
-            batches = self._recover_shrink(exc, batches)
-        else:
-            self.restart()
-            cursor = 0
-            losses.clear()
-        return batches, cursor, losses
+        if self.trainer.recovery_policy != "shrink":
+            return super()._apply_recovery(exc, batches, cursor, losses)
+        return self._recover_shrink(exc, batches), cursor, losses
 
     def _recover_shrink(
         self, exc: RankFailureError, batches: list[np.ndarray]

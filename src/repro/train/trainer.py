@@ -1,6 +1,9 @@
 """The WholeGraph trainer: epoch loops, evaluation, timing collection.
 
-Two execution modes:
+The trainer owns the task (node classification or link prediction): model
+and optimizer state, RNG streams, checkpoints, evaluation and reporting.
+Its parallelism plan (:mod:`repro.train.plans`) owns the placement —
+single node, N-node cluster, pipeline, CAGNET.  Two execution modes:
 
 - ``compute_ranks="one"`` (default) — SPMD-symmetric simulation: rank 0
   runs the real math and its per-phase durations are charged to the other
@@ -27,7 +30,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.nn import functional as F
 from repro.nn.models import build_model
 from repro.nn.optim import Adam
-from repro.nn.sparse_optim import SparseAdam, SparseSGD
+from repro.nn.sparse_optim import SparseAdam, SparseSGD, average_row_grads
 from repro.nn.tensor import Tensor
 from repro.ops.negative_sampling import (
     sample_negative_edges,
@@ -89,10 +92,11 @@ def linkpred_forward(
 
     The endpoints of all pairs are deduplicated into one seed set, sampled
     and encoded once; scores are scaled dot products of the endpoint
-    embeddings against BCE-with-logits labels.  Shared by both trainers so
-    the single-node and cluster link-prediction steps run bit-identical
-    math.  With ``charge=True`` the sampler and the embedding gather
-    advance ``rank``'s clock under ``sample``/``gather``.
+    embeddings against BCE-with-logits labels.  Shared by the training step
+    (on every machine node's replica) and
+    :meth:`WholeGraphTrainer.evaluate_linkpred`.  With ``charge=True`` the
+    sampler and the embedding gather advance ``rank``'s clock under
+    ``sample``/``gather``.
     """
     seeds, inverse = np.unique(
         np.concatenate([src, dst]), return_inverse=True
@@ -215,7 +219,8 @@ class WholeGraphTrainer:
         (written to ``checkpoint_dir``, or a temp dir) and re-runs the
         epoch on a replacement GPU; ``"shrink"`` re-shards WholeMemory
         across the surviving GPUs, re-buckets the gradient sync, and
-        continues the epoch where it stopped (symmetric modes only).
+        continues the epoch where it stopped (symmetric modes only; a
+        cluster plan drops the failed machine node instead).
         Transient faults (degraded links, stragglers, gather reply loss)
         never change the trained weights — only simulated time.
 
@@ -235,7 +240,10 @@ class WholeGraphTrainer:
         described above; ``"pipeline"`` / ``"hybrid"`` / ``"cagnet"`` (or a
         :class:`~repro.train.plans.ParallelismPlan` instance carrying its
         own knobs) switch to layer-pipelined model parallelism or CAGNET
-        1.5D full-graph training — see ``docs/parallelism.md``."""
+        1.5D full-graph training, and a
+        :class:`~repro.train.plans.ClusterDataParallelPlan` trains over
+        several machine nodes with ``store``'s node as machine node 0 —
+        see ``docs/parallelism.md``."""
         self.store = store
         self.node = store.node
         self.model_name = model_name
@@ -299,6 +307,8 @@ class WholeGraphTrainer:
         self.task = task
 
         init_rng = self.rngs.named("init")
+        self.embedding = None
+        self.sparse_optimizer = None
         if task == "linkpred":
             from repro.faults import RankFailure
 
@@ -316,32 +326,22 @@ class WholeGraphTrainer:
             )
             self.num_pairs = int(num_pairs) if num_pairs else self.batch_size
             self.sparse_optim_name = sparse_optimizer
-            # the encoder maps gathered embedding rows into a `hidden`-dim
-            # score space; pairs are scored by scaled dot product
-            self.model = build_model(
-                model_name, self.embedding_dim, hidden, init_rng,
-                hidden=hidden, num_layers=num_layers, dropout=dropout,
-            )
+            self.model = self._build_model(init_rng)
+            # pairs are scored by scaled dot product
             self._score_scale = 1.0 / float(np.sqrt(hidden))
-            self.embedding = WholeEmbedding(
-                self.node, store.num_nodes, self.embedding_dim,
-                rng=self.rngs.named("embedding"),
-            )
-            self.sparse_optimizer = SPARSE_OPTIMIZERS[sparse_optimizer](
-                [self.embedding], lr=lr
+            self.embedding, self.sparse_optimizer = self._build_embedding(
+                self.node
             )
             self._pair_rng = self.rngs.named("linkpred-pairs")
             self.iterations_per_epoch = max(
                 1, store.train_nodes.shape[0] // self.batch_size
             )
         else:
-            self.embedding = None
-            self.sparse_optimizer = None
-            self.model = build_model(
-                model_name, store.feature_dim, store.num_classes, init_rng,
-                hidden=hidden, num_layers=num_layers, dropout=dropout,
-            )
+            self.model = self._build_model(init_rng)
         self.optimizer = Adam(self.model.parameters(), lr=lr)
+        #: one optimizer per model replica (``self.replicas``, which the
+        #: plan sets; true DDP and cluster plans hold several)
+        self.optimizers = [self.optimizer]
 
         self._epoch = 0
         self.history: list[EpochStats] = []
@@ -369,9 +369,35 @@ class WholeGraphTrainer:
         self.plan.bind(self)
 
         if fault_plan is not None and fault_plan:
-            self.fault_injector = FaultInjector(fault_plan).install(self.node)
+            self.fault_injector = FaultInjector(fault_plan).install(
+                self.plan.nodes
+            )
             if self._needs_checkpoints():
                 self._save_checkpoint()
+
+    def _build_model(self, rng: np.random.Generator):
+        """A fresh model for this task: node classes, or (link prediction)
+        an encoder of embedding rows into a ``hidden``-dim score space."""
+        if self.task == "linkpred":
+            in_dim, out_dim = self.embedding_dim, self.hidden
+        else:
+            in_dim, out_dim = self.store.feature_dim, self.store.num_classes
+        return build_model(
+            self.model_name, in_dim, out_dim, rng, hidden=self.hidden,
+            num_layers=self.num_layers, dropout=self.dropout,
+        )
+
+    def _build_embedding(self, node):
+        """The link-prediction embedding table on ``node`` and its sparse
+        optimizer; every call draws the same ``embedding`` init stream."""
+        embedding = WholeEmbedding(
+            node, self.store.num_nodes, self.embedding_dim,
+            rng=self.rngs.named("embedding"),
+        )
+        optimizer = SPARSE_OPTIMIZERS[self.sparse_optim_name](
+            [embedding], lr=self.lr
+        )
+        return embedding, optimizer
 
     def _needs_checkpoints(self) -> bool:
         from repro.faults import RankFailure
@@ -409,11 +435,18 @@ class WholeGraphTrainer:
         """One pass over the training nodes (optionally truncated).
 
         With an overlapped schedule, phase totals still record the *full*
-        per-phase work while ``epoch_time`` reflects the overlap.
+        per-phase work while ``epoch_time`` reflects the overlap.  A
+        link-prediction epoch is ``iterations_per_epoch`` pair batches.
         """
-        if self.task == "linkpred":
-            return self._train_epoch_linkpred(max_iterations)
-        return self.plan.train_epoch(max_iterations)
+        if self.task != "linkpred":
+            return self.plan.train_epoch(max_iterations)
+        n_iter = self.iterations_per_epoch
+        if max_iterations is not None:
+            n_iter = min(n_iter, int(max_iterations))
+        return self.plan.run_epoch(
+            [None] * n_iter,
+            lambda todo, times: ([self._step_linkpred(times)] for _ in todo),
+        )
 
     # -- fault polling & recovery -------------------------------------------------
 
@@ -425,101 +458,87 @@ class WholeGraphTrainer:
         """
         injector = self.node.fault_injector
         if injector is not None:
+            nodes = self.plan.nodes
             injector.poll_rank_failures(
-                max(c.now for c in self.node.gpu_clock),
-                node_id=self.node.node_id,
+                max(c.now for node in nodes for c in node.gpu_clock),
+                node_ids={node.node_id for node in nodes},
             )
 
     # -- link prediction over the DSM embedding table ---------------------------
 
-    def _train_epoch_linkpred(self, max_iterations: int | None) -> EpochStats:
-        """One link-prediction epoch (sequential symmetric schedule)."""
-        self.model.train()
-        n_iter = self.iterations_per_epoch
-        if max_iterations is not None:
-            n_iter = min(n_iter, int(max_iterations))
-        node = self.node
-        dev0 = node.gpu_memory[0].device
-        ar0 = node.timeline.phase_total("allreduce", dev0)
-        aw0 = node.timeline.phase_total("allreduce_wait", dev0)
-        hid0 = metrics.get_registry().total("grad_sync_hidden_seconds_total")
-        t_start = node.sync()
-        losses: list[float] = []
-        phase_totals = PhaseTimes()
-        for _ in range(n_iter):
-            losses.append(self._step_linkpred(phase_totals))
-            self._poll_faults()
-        t_end = node.sync()
-        stats = EpochStats(
-            epoch=self._epoch,
-            mean_loss=float(np.mean(losses)) if losses else float("nan"),
-            iterations=n_iter,
-            times=phase_totals,
-            epoch_time=t_end - t_start,
-            allreduce=node.timeline.phase_total("allreduce", dev0) - ar0,
-            allreduce_wait=(
-                node.timeline.phase_total("allreduce_wait", dev0) - aw0
-            ),
-            allreduce_hidden=(
-                metrics.get_registry().total(
-                    "grad_sync_hidden_seconds_total"
-                )
-                - hid0
-            ),
-        )
-        self._epoch += 1
-        self.history.append(stats)
-        return stats
-
     def _step_linkpred(self, phase_totals: PhaseTimes) -> float:
-        """One link-prediction step: score pairs, sync dense grads through
-        the bucketed engine, push sparse row grads over the comm stream."""
-        node = self.node
-        clock = node.gpu_clock[0]
+        """One link-prediction step over every machine node's replica.
+
+        Every machine node scores the same global pair batch (replicated
+        data parallelism), so the trajectory is the single-node one at any
+        machine count.  Dense encoder grads go through the plan's gradient
+        sync; sparse row grads ride the comm stream, averaged across the
+        replicas first when there is more than one.  ``phase_totals``
+        accumulates machine node 0's phase seconds.
+        """
+        machines = self.plan.machines
         src, dst, labels = sample_link_batch(
             self.store.csr, self.num_pairs, self._pair_rng
         )
-        res = linkpred_forward(
-            node, self.model, self.sampler, self.embedding,
-            src, dst, labels, 0, self.rngs.rank(0), self._model_rng,
-            self._score_scale, charge=True,
-        )
-        loss_val = float(res.loss.data)
-        self.model.zero_grad()
-        res.loss.backward()
-        self.optimizer.step()
-        sg = res.subgraph
-        train_t = self.model.estimate_train_time(sg) * self.layer_cost_factor
-        clock.advance(
-            train_t, phase="train", category="compute",
-            args={"edges": sg.total_edges(),
-                  "input_nodes": int(sg.input_nodes.shape[0])},
-        )
         reg = metrics.get_registry()
-        reg.counter("iterations_total", schedule="linkpred").inc(1)
-        reg.counter("phase_seconds_total", phase="sample").inc(res.t_sample)
-        reg.counter("phase_seconds_total", phase="gather").inc(res.t_gather)
-        reg.counter("phase_seconds_total", phase="train").inc(train_t)
-        for r in range(1, node.num_gpus):
-            clk = node.gpu_clock[r]
-            clk.advance(res.t_sample, phase="sample")
-            clk.advance(res.t_gather, phase="gather")
-            clk.advance(train_t, phase="train")
-        # dense encoder params: the bucketed grad-sync engine (the plan is
-        # built from model.parameters() only — the embedding is not a
-        # Parameter, so the sparse rows are skipped by construction)
-        self.grad_sync.charge(
-            producers=[(clock.now, train_t)],
-            phase="allreduce",
-        )
+        losses = []
+        producers = []
+        for m in machines:
+            node = m.node
+            clock = node.gpu_clock[0]
+            res = linkpred_forward(
+                node, m.model, m.sampler, m.embedding,
+                src, dst, labels, 0, m.sample_rng, m.model_rng,
+                self._score_scale, charge=True,
+            )
+            losses.append(float(res.loss.data))
+            m.model.zero_grad()
+            res.loss.backward()
+            sg = res.subgraph
+            train_t = (
+                m.model.estimate_train_time(sg) * self.layer_cost_factor
+            )
+            clock.advance(
+                train_t, phase="train", category="compute",
+                args={"edges": sg.total_edges(),
+                      "input_nodes": int(sg.input_nodes.shape[0])},
+            )
+            reg.counter("iterations_total", schedule="linkpred").inc(1)
+            reg.counter("phase_seconds_total", phase="sample").inc(
+                res.t_sample
+            )
+            reg.counter("phase_seconds_total", phase="gather").inc(
+                res.t_gather
+            )
+            reg.counter("phase_seconds_total", phase="train").inc(train_t)
+            for r in range(1, node.num_gpus):
+                clk = node.gpu_clock[r]
+                clk.advance(res.t_sample, phase="sample")
+                clk.advance(res.t_gather, phase="gather")
+                clk.advance(train_t, phase="train")
+            producers.append((clock.now, train_t))
+            if m is machines[0]:
+                phase_totals += PhaseTimes(
+                    sample=res.t_sample, gather=res.t_gather, train=train_t
+                )
+        # the embedding is not a Parameter: the dense sync's buckets cover
+        # the encoder only
+        self.plan.sync_gradients(producers)
+        for m in machines:
+            m.optimizer.step()
         # sparse rows: dedup + scatter-add + comm-lane push, touched-row
         # state update priced on the owning ranks
-        self.sparse_optimizer.step(rank=0)
-        node.sync()
-        phase_totals += PhaseTimes(
-            sample=res.t_sample, gather=res.t_gather, train=train_t
-        )
-        return loss_val
+        if len(machines) == 1:
+            self.sparse_optimizer.step(rank=0)
+        else:
+            averaged = average_row_grads(
+                [m.sparse_optimizer.collect() for m in machines]
+            )
+            for m in machines:
+                m.sparse_optimizer.apply(averaged, rank=0)
+        for m in machines:
+            m.node.sync()
+        return float(np.mean(losses))
 
     def evaluate_linkpred(self, num_pairs: int = 2000) -> float:
         """Held-out link-prediction AUC over fresh positive/negative pairs.

@@ -117,6 +117,26 @@ def small_store(small_dataset) -> MultiGpuGraphStore:
 
 
 @pytest.fixture
+def cluster_trainer():
+    """Factory: a trainer over ``num_machine_nodes`` machine nodes.
+
+    Machine node 0's store is built with the trainer's seed; the plan
+    re-shards it onto the other machine nodes.
+    """
+    from repro.train import WholeGraphTrainer
+    from repro.train.plans import ClusterDataParallelPlan
+
+    def build(dataset, num_machine_nodes, model_name, seed=0, **kw):
+        store = MultiGpuGraphStore(SimNode(), dataset, seed=seed)
+        return WholeGraphTrainer(
+            store, model_name, seed=seed,
+            plan=ClusterDataParallelPlan(num_machine_nodes), **kw,
+        )
+
+    return build
+
+
+@pytest.fixture
 def transient_plan():
     """Factory for a deterministic all-transient-kinds fault plan."""
     from repro.faults import (

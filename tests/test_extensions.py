@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterTrainer
 from repro.dsm import HostPinnedTensor
 from repro.graph import MultiGpuGraphStore, load_dataset
 from repro.graph.csr import CSRGraph
@@ -306,33 +305,33 @@ def cluster_dataset():
                         feature_dim=8, num_classes=4)
 
 
-def test_cluster_replicas_stay_in_sync(cluster_dataset):
-    tr = ClusterTrainer(cluster_dataset, 2, "gcn", seed=0, batch_size=32,
-                        fanouts=[4], hidden=8, lr=0.02, dropout=0.0)
+def test_cluster_replicas_stay_in_sync(cluster_dataset, cluster_trainer):
+    tr = cluster_trainer(cluster_dataset, 2, "gcn", seed=0, batch_size=32,
+                         fanouts=[4], hidden=8, lr=0.02, dropout=0.0)
     tr.train_epoch(max_iterations=2)
-    tr.assert_in_sync(atol=1e-4)
+    tr.plan.assert_in_sync()
 
 
-def test_cluster_two_nodes_faster_than_one(cluster_dataset):
-    t1 = ClusterTrainer(cluster_dataset, 1, "gcn", seed=0, batch_size=32,
-                        fanouts=[4], hidden=8, lr=0.02, dropout=0.0)
-    t2 = ClusterTrainer(cluster_dataset, 2, "gcn", seed=0, batch_size=32,
-                        fanouts=[4], hidden=8, lr=0.02, dropout=0.0)
-    e1 = t1.train_epoch()["epoch_time"]
-    e2 = t2.train_epoch()["epoch_time"]
+def test_cluster_two_nodes_faster_than_one(cluster_dataset, cluster_trainer):
+    t1 = cluster_trainer(cluster_dataset, 1, "gcn", seed=0, batch_size=32,
+                         fanouts=[4], hidden=8, lr=0.02, dropout=0.0)
+    t2 = cluster_trainer(cluster_dataset, 2, "gcn", seed=0, batch_size=32,
+                         fanouts=[4], hidden=8, lr=0.02, dropout=0.0)
+    e1 = t1.train_epoch().epoch_time
+    e2 = t2.train_epoch().epoch_time
     assert e2 < e1
 
 
-def test_cluster_training_converges(cluster_dataset):
-    tr = ClusterTrainer(cluster_dataset, 2, "graphsage", seed=0,
-                        batch_size=32, fanouts=[5, 5], hidden=16, lr=0.02,
-                        dropout=0.0)
+def test_cluster_training_converges(cluster_dataset, cluster_trainer):
+    tr = cluster_trainer(cluster_dataset, 2, "graphsage", seed=0,
+                         batch_size=32, fanouts=[5, 5], hidden=16, lr=0.02,
+                         dropout=0.0)
     for _ in range(6):
         stats = tr.train_epoch()
     assert tr.evaluate() > 0.8
-    assert stats["mean_loss"] < 1.0
+    assert stats.mean_loss < 1.0
 
 
-def test_cluster_rejects_zero_nodes(cluster_dataset):
+def test_cluster_rejects_zero_nodes(cluster_dataset, cluster_trainer):
     with pytest.raises(ValueError):
-        ClusterTrainer(cluster_dataset, 0, "gcn")
+        cluster_trainer(cluster_dataset, 0, "gcn")

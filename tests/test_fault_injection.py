@@ -28,6 +28,7 @@ from repro.faults import (
 from repro.graph import MultiGpuGraphStore
 from repro.hardware import SimNode
 from repro.train import WholeGraphTrainer
+from repro.train.plans import ClusterDataParallelPlan
 
 TRAIN_KW = dict(batch_size=32, fanouts=[5, 5], hidden=32)
 
@@ -288,15 +289,15 @@ def test_restart_works_in_full_ddp_mode(registry, small_dataset, tmp_path):
             assert np.array_equal(a, b)
 
 
-# -- cluster trainer ----------------------------------------------------------------
+# -- cluster plan -------------------------------------------------------------------
 
 
 def _cluster(dataset, plan=None, policy="shrink", overlap=False, n=3):
-    from repro.cluster.trainer import ClusterTrainer
-
-    tr = ClusterTrainer(
-        dataset, n, "graphsage", seed=3, overlap=overlap,
-        fault_plan=plan, recovery_policy=policy, **TRAIN_KW,
+    store = MultiGpuGraphStore(SimNode(), dataset, seed=3)
+    tr = WholeGraphTrainer(
+        store, "graphsage", seed=3, overlap=overlap,
+        fault_plan=plan, recovery_policy=policy,
+        plan=ClusterDataParallelPlan(n), **TRAIN_KW,
     )
     stats = [tr.train_epoch(max_iterations=4) for _ in range(2)]
     return tr, stats
@@ -309,11 +310,10 @@ def test_cluster_transient_faults_preserve_weights(
     base_tr, base_stats = _cluster(small_dataset, overlap=overlap)
     plan = transient_plan(node_id=1)
     tr, stats = _cluster(small_dataset, plan, overlap=overlap)
-    for a, b in zip(base_tr.models[0].parameters(),
-                    tr.models[0].parameters()):
+    for a, b in zip(base_tr.model.parameters(), tr.model.parameters()):
         assert np.array_equal(a.data, b.data)
-    assert stats[0]["epoch_time"] > base_stats[0]["epoch_time"]
-    tr.assert_in_sync()
+    assert stats[0].epoch_time > base_stats[0].epoch_time
+    tr.plan.assert_in_sync()
 
 
 @pytest.mark.parametrize("overlap", [False, True])
@@ -321,15 +321,15 @@ def test_cluster_machine_node_failure_shrinks(
     registry, small_dataset, overlap
 ):
     base_tr, base_stats = _cluster(small_dataset, overlap=overlap)
-    t_fail = 0.5 * base_stats[0]["epoch_time"]
+    t_fail = 0.5 * base_stats[0].epoch_time
     plan = FaultPlan(events=[RankFailure(rank=0, time=t_fail, node_id=2)])
     tr, stats = _cluster(small_dataset, plan, policy="shrink",
                          overlap=overlap)
-    assert tr.num_machine_nodes == 2
-    assert [n.node_id for n in tr.nodes] == [0, 1]
+    assert tr.plan.num_machine_nodes == 2
+    assert [n.node_id for n in tr.plan.nodes] == [0, 1]
     assert len(tr.recoveries) == 1
-    assert tr.recoveries[0]["nodes"] == [2]
-    tr.assert_in_sync()
+    assert tr.recoveries[0]["ranks"] == [[2, 0]]
+    tr.plan.assert_in_sync()
     assert 0.0 <= tr.evaluate() <= 1.0
     report = tr.run_report().to_dict()
     assert report["extra"]["recoveries"][0]["policy"] == "shrink"
@@ -343,19 +343,35 @@ def test_cluster_machine_node_failure_restart(
     plan = FaultPlan(events=[RankFailure(rank=0, time=1e-4, node_id=1)])
     tr, stats = _cluster(small_dataset, plan, policy="restart",
                          overlap=overlap)
-    assert tr.num_machine_nodes == 3  # node assumed restarted in place
+    assert tr.plan.num_machine_nodes == 3  # node assumed restarted in place
     assert len(tr.recoveries) == 1
-    tr.assert_in_sync()
-    assert all(np.isfinite(s["mean_loss"]) for s in stats)
+    tr.plan.assert_in_sync()
+    assert all(np.isfinite(s.mean_loss) for s in stats)
+
+
+def test_cluster_restart_reestablishes_dsm(registry, small_dataset):
+    """A restarted process lost its IPC handles: cluster restart charges
+    the DSM re-establishment that a single-node restart charges."""
+    from repro import config
+    from repro.hardware import costmodel
+
+    plan = FaultPlan(events=[RankFailure(rank=0, time=1e-4, node_id=1)])
+    tr, _ = _cluster(small_dataset, plan, policy="restart")
+    floor = (
+        config.FAULT_DETECT_SECONDS
+        + config.COMM_REINIT_SECONDS
+        + costmodel.dsm_setup_time(tr.node.total_memory_usage())
+    )
+    assert tr.recoveries[0]["recovery_seconds"] >= floor
 
 
 def test_cluster_sole_node_failure_is_fatal(registry, small_dataset):
     plan = FaultPlan(events=[RankFailure(rank=0, time=0.0, node_id=0)])
-    from repro.cluster.trainer import ClusterTrainer
-
-    tr = ClusterTrainer(
-        small_dataset, 1, "graphsage", seed=3,
-        fault_plan=plan, recovery_policy="shrink", **TRAIN_KW,
+    store = MultiGpuGraphStore(SimNode(), small_dataset, seed=3)
+    tr = WholeGraphTrainer(
+        store, "graphsage", seed=3, fault_plan=plan,
+        recovery_policy="shrink", plan=ClusterDataParallelPlan(1),
+        **TRAIN_KW,
     )
     with pytest.raises(RankFailureError):
         tr.train_epoch(max_iterations=2)

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.trainer import ClusterTrainer
 from repro.dsm.comm import Communicator
 from repro.graph import MultiGpuGraphStore
 from repro.hardware import SimNode
@@ -125,7 +124,7 @@ def _run_all_mode(dataset, overlap_grad_sync, bucket_cap_mb, epochs=2):
         overlap_grad_sync=overlap_grad_sync,
     )
     stats = [tr.train_epoch(max_iterations=2) for _ in range(epochs)]
-    tr.ddp.assert_in_sync(atol=1e-6)
+    tr.ddp.assert_in_sync()
     weights = [p.data.copy() for p in tr.model.parameters()]
     return stats, weights
 
@@ -148,22 +147,24 @@ def test_ddp_training_bit_identical_across_sync_schedules(small_dataset):
     assert s_flat[0].allreduce_hidden == 0
 
 
-def test_cluster_training_bit_identical_across_sync_schedules(small_dataset):
+def test_cluster_training_bit_identical_across_sync_schedules(
+    small_dataset, cluster_trainer
+):
     def run(overlap_grad_sync, cap):
-        tr = ClusterTrainer(
-            small_dataset, num_machine_nodes=2, model_name="graphsage",
+        tr = cluster_trainer(
+            small_dataset, 2, "graphsage",
             seed=3, batch_size=32, fanouts=[4], hidden=16,
             bucket_cap_mb=cap, overlap_grad_sync=overlap_grad_sync,
         )
         stats = [tr.train_epoch(max_iterations=2) for _ in range(2)]
-        tr.assert_in_sync()
-        weights = [p.data.copy() for p in tr.models[0].parameters()]
+        tr.plan.assert_in_sync()
+        weights = [p.data.copy() for p in tr.model.parameters()]
         return stats, weights
 
     s_flat, w_flat = run(False, 0.0)
     s_over, w_over = run(True, 1e-4)
     for a, b in zip(s_flat, s_over):
-        assert a["mean_loss"] == b["mean_loss"]
+        assert a.mean_loss == b.mean_loss
     assert all(np.array_equal(x, y) for x, y in zip(w_flat, w_over))
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.trainer import ClusterTrainer
 from repro.graph import MultiGpuGraphStore
 from repro.hardware import SimNode
 from repro.train import WholeGraphTrainer
@@ -60,22 +59,22 @@ def test_overlap_rejects_all_ranks_mode(small_store):
         )
 
 
-def test_cluster_overlap_equivalence(medium_dataset):
+def test_cluster_overlap_equivalence(medium_dataset, cluster_trainer):
     def run(overlap):
-        tr = ClusterTrainer(
-            medium_dataset, num_machine_nodes=2, model_name="graphsage",
+        tr = cluster_trainer(
+            medium_dataset, 2, "graphsage",
             seed=3, batch_size=32, fanouts=[5, 5], hidden=32,
             overlap=overlap,
         )
         stats = [tr.train_epoch() for _ in range(2)]
-        tr.assert_in_sync()
-        weights = [p.data.copy() for p in tr.models[0].parameters()]
+        tr.plan.assert_in_sync()
+        weights = [p.data.copy() for p in tr.model.parameters()]
         return stats, weights, tr.evaluate()
 
     s_seq, w_seq, acc_seq = run(False)
     s_pipe, w_pipe, acc_pipe = run(True)
     for a, b in zip(s_seq, s_pipe):
-        assert a["mean_loss"] == b["mean_loss"]
-        assert b["epoch_time"] < a["epoch_time"]
+        assert a.mean_loss == b.mean_loss
+        assert b.epoch_time < a.epoch_time
     assert all(np.array_equal(x, y) for x, y in zip(w_seq, w_pipe))
     assert acc_seq == acc_pipe

@@ -6,10 +6,10 @@ Three layers of bit-identity, all exact (``np.array_equal``, no tolerances):
    embedding's touched rows must match the dense :class:`~repro.nn.optim`
    optimizers stepping a one-row parameter over that row's touch
    subsequence, on hypothesis-generated touch patterns;
-2. **trainer trajectories** — the single-node and cluster link-prediction
-   trainers must produce bitwise-identical losses, weights and embedding
-   tables (the cluster runs replicated global batches, and its float64
-   gradient averaging is exact on identical replicas);
+2. **trainer trajectories** — link prediction on one node and over a
+   cluster plan must produce bitwise-identical losses, weights and
+   embedding tables (the cluster runs replicated global batches, and its
+   float64 gradient averaging is exact on identical replicas);
 3. **chaos** — transient fault plans (stragglers, degraded links, lost
    gather replies) may only cost simulated *time*: the trained state must
    be byte-for-byte the state of a fault-free run.
@@ -26,7 +26,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.trainer import ClusterTrainer
 from repro.dsm.sparse_embedding import WholeEmbedding, dedup_row_grads
 from repro.graph import MultiGpuGraphStore
 from repro.hardware import SimNode, dgx_a100
@@ -38,6 +37,7 @@ from repro.nn.sparse_optim import (
     SparseSGD,
     average_row_grads,
 )
+from repro.train.plans import ClusterDataParallelPlan
 from repro.train.trainer import WholeGraphTrainer
 
 # -- helpers ------------------------------------------------------------------------
@@ -246,16 +246,14 @@ def test_trainer_sparse_sgd_matches_dense_replay(bipartite_dataset):
 
 def test_cluster_sparse_adam_matches_dense_replay(bipartite_dataset):
     """3 epochs of 2-machine cluster linkpred == dense per-row replay."""
-    ct = ClusterTrainer(
-        bipartite_dataset, 2, "sage", seed=0, batch_size=64,
-        task="linkpred", num_pairs=64, hidden=32, num_layers=2, lr=1e-2,
-    )
-    w0 = ct.embeddings[0].state_dict()
-    ct.sparse_optimizers[0].record_history = True
+    ct = _linkpred_trainer(bipartite_dataset,
+                           plan=ClusterDataParallelPlan(2))
+    w0 = ct.embedding.state_dict()
+    ct.sparse_optimizer.record_history = True
     for _ in range(3):
         ct.train_epoch()
     _assert_replay_matches(
-        ct.embeddings[0], w0, ct.sparse_optimizers[0].history,
+        ct.embedding, w0, ct.sparse_optimizer.history,
         lambda ps: Adam(ps, lr=1e-2),
     )
 
@@ -265,21 +263,19 @@ def test_single_node_vs_cluster_bit_identity(bipartite_dataset,
                                              num_machines):
     """Replicated cluster linkpred is bitwise the single-node trajectory."""
     tr = _linkpred_trainer(bipartite_dataset)
-    ct = ClusterTrainer(
-        bipartite_dataset, num_machines, "sage", seed=0, batch_size=64,
-        task="linkpred", num_pairs=64, hidden=32, num_layers=2, lr=1e-2,
-    )
+    ct = _linkpred_trainer(bipartite_dataset,
+                           plan=ClusterDataParallelPlan(num_machines))
     for _ in range(3):
         single = tr.train_epoch()
         cluster = ct.train_epoch()
         # losses agree bitwise, not approximately
-        assert single.mean_loss == cluster["mean_loss"]
-        assert single.iterations == cluster["iterations"]
-    ct.assert_in_sync()
+        assert single.mean_loss == cluster.mean_loss
+        assert single.iterations == cluster.iterations
+    ct.plan.assert_in_sync()
     assert np.array_equal(
-        tr.embedding.state_dict(), ct.embeddings[0].state_dict()
+        tr.embedding.state_dict(), ct.embedding.state_dict()
     )
-    for a, b in zip(tr.model.parameters(), ct.models[0].parameters()):
+    for a, b in zip(tr.model.parameters(), ct.model.parameters()):
         assert np.array_equal(a.data, b.data)
     assert tr.evaluate_linkpred(num_pairs=500) == ct.evaluate_linkpred(
         num_pairs=500
@@ -324,20 +320,20 @@ def test_transient_faults_bit_identical_single_node(bipartite_dataset,
 
 def test_transient_faults_bit_identical_cluster(bipartite_dataset,
                                                 transient_plan):
-    kw = dict(seed=0, batch_size=64, task="linkpred", num_pairs=64,
-              hidden=32, num_layers=2, lr=1e-2)
-    clean = ClusterTrainer(bipartite_dataset, 2, "sage", **kw)
-    chaos = ClusterTrainer(bipartite_dataset, 2, "sage",
-                           fault_plan=transient_plan(), **kw)
+    clean = _linkpred_trainer(bipartite_dataset,
+                              plan=ClusterDataParallelPlan(2))
+    chaos = _linkpred_trainer(bipartite_dataset,
+                              fault_plan=transient_plan(),
+                              plan=ClusterDataParallelPlan(2))
     clean_stats = [clean.train_epoch(max_iterations=3) for _ in range(2)]
     chaos_stats = [chaos.train_epoch(max_iterations=3) for _ in range(2)]
-    assert [s["mean_loss"] for s in clean_stats] == [
-        s["mean_loss"] for s in chaos_stats
+    assert [s.mean_loss for s in clean_stats] == [
+        s.mean_loss for s in chaos_stats
     ]
     assert np.array_equal(
-        clean.embeddings[0].state_dict(), chaos.embeddings[0].state_dict()
+        clean.embedding.state_dict(), chaos.embedding.state_dict()
     )
-    chaos.assert_in_sync()
+    chaos.plan.assert_in_sync()
 
 
 def test_linkpred_rejects_rank_failure_plans(bipartite_dataset):
@@ -347,9 +343,8 @@ def test_linkpred_rejects_rank_failure_plans(bipartite_dataset):
     with pytest.raises(ValueError, match="transient"):
         _linkpred_trainer(bipartite_dataset, fault_plan=plan)
     with pytest.raises(ValueError, match="transient"):
-        ClusterTrainer(
-            bipartite_dataset, 2, "sage", task="linkpred", fault_plan=plan,
-        )
+        _linkpred_trainer(bipartite_dataset, fault_plan=plan,
+                          plan=ClusterDataParallelPlan(2))
 
 
 # -- the telemetry contract ----------------------------------------------------------

@@ -117,7 +117,7 @@ def test_ddp_mode_keeps_replicas_in_sync(small_dataset):
     tr = make_trainer(small_dataset, compute_ranks="all", fanouts=[4],
                       num_layers=1, batch_size=64)
     tr.train_epoch(max_iterations=2)
-    tr.ddp.assert_in_sync(atol=1e-4)
+    tr.ddp.assert_in_sync()
 
 
 def test_ddp_gradient_averaging(rng):
