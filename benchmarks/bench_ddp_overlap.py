@@ -2,20 +2,20 @@
 
 Two measurements per run:
 
-- **host wall-clock** — the Python-side bookkeeping cost of one
-  ``sync_gradients`` call on 8 replicas of the Table-5 GraphSage model:
-  the legacy flat path (per-step ``np.concatenate`` + scatter-back) versus
-  the bucketed path (preallocated flat buffers + per-parameter views);
 - **simulated exposed comm** — the critical-path all-reduce time per
   training step under the flat serial schedule versus the bucketed
   backward-overlapped schedule, plus the bucket-capacity sweep and the
-  Fig. 13-style multi-machine-node scaling rows.
+  Fig. 13-style multi-machine-node scaling rows;
+- **host wall-clock** — the cost of one gradient average
+  (:func:`~repro.train.grad_sync.average_gradients`, the functional half of every
+  plan's ``sync_gradients``) over 8 replicas of the Table-5 GraphSage
+  model.
 
 The simulated numbers (deterministic) are written to
 ``results/ddp_overlap.json`` in the ``compare_runs.py`` manifest shape;
 CI diffs that file against the committed
 ``results/ddp_overlap_baseline.json`` and fails on exposed-comm
-regressions.  Wall-clock numbers are reported but never gated.
+regressions.  The wall-clock number is reported but never gated.
 """
 
 import json
@@ -25,75 +25,68 @@ import time
 import numpy as np
 
 from benchmarks.conftest import RESULTS_DIR, run_once
-from repro.dsm.comm import Communicator
 from repro.experiments import ablations
-from repro.hardware import SimNode
 from repro.nn import build_model
 from repro.telemetry.report import format_table
-from repro.train.ddp import DistributedDataParallel
+from repro.train.grad_sync import average_gradients
 
 
-def _make_ddp(**ddp_kw):
-    node = SimNode()
-    replicas = [
+def _replicas(num_gpus=8):
+    return [
         build_model("graphsage", 128, 172, np.random.default_rng(r),
                     hidden=256, num_layers=3)
-        for r in range(node.num_gpus)
+        for r in range(num_gpus)
     ]
-    return DistributedDataParallel(replicas, Communicator(node), **ddp_kw)
 
 
-def _fill_grads(ddp, seed=0):
+def _fill_grads(models, seed=0):
     rng = np.random.default_rng(seed)
-    for m in ddp.replicas:
+    for m in models:
         for p in m.parameters():
             p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
 
 
-def _wallclock_per_sync(sync_fn, ddp, repeats=20):
-    """Median host seconds of one gradient synchronisation."""
+def _wallclock_per_average(models, repeats=20):
+    """Median host seconds of one gradient average over ``models``."""
     times = []
     for i in range(repeats):
-        _fill_grads(ddp, seed=i)
+        _fill_grads(models, seed=i)
         t0 = time.perf_counter()
-        sync_fn()
+        average_gradients(models, models)
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
 
 def _run_all():
-    # wall-clock: bucketed (preallocated views) vs flat (concatenate)
-    ddp = _make_ddp(bucket_cap_mb=None, overlap_grad_sync=True)
-    wall_bucketed = _wallclock_per_sync(
-        lambda: ddp.sync_gradients(), ddp
-    )
-    wall_flat = _wallclock_per_sync(
-        lambda: ddp.sync_gradients_flat(), ddp
-    )
+    models = _replicas()
+    wall_average = _wallclock_per_average(models)
     # simulated: exposed comm per step, sweep, multi-node scaling
     sync = ablations.grad_sync_ablation(num_nodes=20_000)
     sweep = ablations.bucket_cap_sweep(num_nodes=20_000)
     scaling = ablations.overlap_scaling_ablation(node_counts=(1, 2, 4))
-    return ddp, wall_flat, wall_bucketed, sync, sweep, scaling
+    return len(models), wall_average, sync, sweep, scaling
 
 
 def test_ddp_overlap(benchmark, emit):
-    ddp, wall_flat, wall_bucketed, sync, sweep, scaling = run_once(
+    num_replicas, wall_average, sync, sweep, scaling = run_once(
         benchmark, _run_all
     )
 
     overlapped = {r["bucket_cap_mb"]: r for r in sweep}
+    buckets = overlapped[0.25]["buckets"]
     lines = [
         format_table(
-            ["sync path", "wall-clock / sync (us)", "sim exposed / step (us)"],
+            ["sync path", "sim exposed / step (us)"],
             [
-                ["flat serial", wall_flat * 1e6, sync.baseline_time * 1e6],
-                [f"bucketed x{ddp.num_buckets} + overlap",
-                 wall_bucketed * 1e6, sync.optimized_time * 1e6],
+                ["flat serial", sync.baseline_time * 1e6],
+                [f"bucketed x{buckets} + overlap",
+                 sync.optimized_time * 1e6],
             ],
             title="DDP gradient synchronisation (Table-5 GraphSage, 8 GPUs)",
         ),
         f"exposed-comm reduction: {100 * (1 - 1 / sync.speedup):.1f}%",
+        f"host gradient average over {num_replicas} replicas: "
+        f"{wall_average * 1e6:.1f} us / sync (not gated)",
         "",
         ablations.bucket_sweep_report(sweep),
         "",
@@ -112,9 +105,8 @@ def test_ddp_overlap(benchmark, emit):
             "cluster2_exposed_flat": scaling[1]["exposed_flat"],
         },
         "notes": {
-            "wallclock_flat_us": wall_flat * 1e6,
-            "wallclock_bucketed_us": wall_bucketed * 1e6,
-            "buckets": ddp.num_buckets,
+            "wallclock_average_us": wall_average * 1e6,
+            "buckets": buckets,
         },
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -123,10 +115,8 @@ def test_ddp_overlap(benchmark, emit):
     )
 
     # paper-shape constraints
-    assert ddp.num_buckets > 1
+    assert buckets > 1
     assert sync.speedup >= 1.0 / 0.7, "overlap must cut exposed comm >= 30%"
-    # preallocated buckets must not cost more host time than concatenate
-    assert wall_bucketed < wall_flat * 2.0
     # flat (cap 0) serializes everything after backward
     flat_row = overlapped[0]
     assert flat_row["exposed"] == flat_row["total_comm"]

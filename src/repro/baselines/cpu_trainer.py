@@ -35,7 +35,7 @@ from repro.ops.neighbor_sampler import (
     SampledSubgraph,
     sample_layer,
 )
-from repro.train.ddp import charge_allreduce
+from repro.train.grad_sync import charge_allreduce
 from repro.train.metrics import PhaseTimes
 from repro.train.trainer import EpochStats
 from repro.utils.rng import RngPool
@@ -113,8 +113,8 @@ class CpuBaselineTrainer:
 
     # -- one iteration -------------------------------------------------------------------
 
-    def _run_iteration(self, seeds: np.ndarray, rank: int,
-                       train: bool = True) -> tuple[float, PhaseTimes]:
+    def _iteration(self, seeds: np.ndarray, rank: int,
+                   train: bool = True) -> tuple[float, PhaseTimes]:
         node = self.node
         gpu = node.gpu_clock[rank]
         host = node.host_clock
@@ -181,7 +181,7 @@ class CpuBaselineTrainer:
         losses = []
         totals = PhaseTimes()
         for batch in batches:
-            loss, times = self._run_iteration(batch, 0, train=True)
+            loss, times = self._iteration(batch, 0, train=True)
             # symmetric ranks: charge the same pipeline to GPUs 1..N-1
             for r in range(1, node.num_gpus):
                 clk = node.gpu_clock[r]

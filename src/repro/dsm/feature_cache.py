@@ -317,10 +317,6 @@ class FeatureCache:
         st = self._ranks[rank]
         return np.sort(st.row_of[: st.filled][st.row_of[: st.filled] >= 0])
 
-    def reset_stats(self) -> None:
-        for st in self._ranks:
-            st.stats = _new_stats()
-
     def invalidate(self) -> None:
         """Drop all cached rows (required after any scatter into the tensor)."""
         for st in self._ranks:

@@ -200,37 +200,6 @@ class TieredTensor:
         self._account(args, t, clock.now)
         return out
 
-    def gather_staged(
-        self, rows, rank: int, phase: str = "gather"
-    ) -> np.ndarray:
-        """Consume rows the streaming loader already staged into HBM.
-
-        The host->HBM transfer was charged on the host stream; reading the
-        staging buffer is a local HBM gather.
-        """
-        rows = self._check_rows(rows)
-        out = self._data[rows]
-        nbytes = int(rows.size * self.row_bytes)
-        t = costmodel.cached_gather_time(nbytes, 0.0, self.row_bytes)
-        clock = self.node.gpu_clock[rank]
-        clock.advance(
-            t, phase=phase, category="gather",
-            args={"rows": int(rows.size), "bytes": nbytes, "staged": True,
-                  "tensor": self.tag},
-        )
-        self.stats["staged_bytes"] += nbytes
-        reg = metrics.get_registry()
-        reg.counter("gather_requests_total", tensor=self.tag).inc(1)
-        reg.counter("gather_rows_total", tensor=self.tag).inc(rows.size)
-        reg.counter("gather_link_bytes_total", link="hbm").inc(
-            nbytes, t=clock.now
-        )
-        reg.counter("gather_seconds_total", tensor=self.tag).inc(t)
-        reg.histogram("gather_rows_per_call", tensor=self.tag).observe(
-            rows.size
-        )
-        return out
-
     def gather_no_cost(self, rows) -> np.ndarray:
         """Functional gather without clock charging (evaluation paths)."""
         return self._data[self._check_rows(rows)]

@@ -76,7 +76,3 @@ class UnifiedMemorySpace:
                 t += hit_lat
         self.node.gpu_clock[rank].advance(t, phase=phase)
         return t
-
-    def resident_fraction(self, rank: int) -> float:
-        """Fraction of pages currently resident on ``rank``."""
-        return float(np.mean(self.page_owner == rank))

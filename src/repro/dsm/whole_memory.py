@@ -130,13 +130,6 @@ class WholeMemory:
 
     # -- address arithmetic -------------------------------------------------
 
-    @property
-    def partition_offsets(self) -> np.ndarray:
-        """Global byte offset at which each rank's partition starts."""
-        return np.concatenate(
-            ([0], np.cumsum(self.partition_sizes)[:-1])
-        ).astype(np.int64)
-
     def rank_of_offset(self, offsets) -> np.ndarray:
         """Owning rank of each global byte offset."""
         bounds = np.cumsum(self.partition_sizes)

@@ -47,7 +47,7 @@ from repro.ops.neighbor_sampler import NeighborSampler
 from repro.ops.spmm import atomic_elision_stats
 from repro.telemetry.report import format_table
 from repro.train import WholeGraphTrainer
-from repro.train.ddp import GradSyncModel
+from repro.train.grad_sync import GradSyncModel
 from repro.train.plans import ClusterDataParallelPlan
 from repro.utils.rng import spawn_rng
 

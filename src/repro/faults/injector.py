@@ -253,13 +253,6 @@ class FaultInjector:
                 out.append((i, ev))
         return out
 
-    def pending_rank_failures(
-        self, t: float, node_ids: Collection[int] | None = None
-    ) -> list[RankFailure]:
-        """Rank failures scheduled at or before ``t`` that have not fired,
-        on any of ``node_ids`` (every machine node when ``None``)."""
-        return [ev for _, ev in self._pending(t, node_ids)]
-
     def poll_rank_failures(
         self, t: float, node_ids: Collection[int] | None = None
     ) -> None:

@@ -57,9 +57,6 @@ class SimNode:
 
         return streams_for(self)
 
-    def gpu_names(self) -> list[str]:
-        return [m.device for m in self.gpu_memory]
-
     def reset_clocks(self) -> None:
         """Zero all clocks and clear the timeline (new experiment)."""
         for c in self.gpu_clock:

@@ -76,6 +76,3 @@ class DeviceMemory:
         for a in self._live.values():
             out[a.tag] = out.get(a.tag, 0) + a.nbytes
         return out
-
-    def live_allocations(self) -> list[Allocation]:
-        return list(self._live.values())

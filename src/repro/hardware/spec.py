@@ -50,11 +50,6 @@ class NodeSpec:
     #: number of NICs (for multi-node bandwidth aggregation)
     num_nics: int = 8
 
-    @property
-    def pcie_bw_per_gpu_shared(self) -> float:
-        """Host bandwidth per GPU when all GPUs under a switch stream."""
-        return self.pcie.bandwidth / self.gpus_per_pcie_switch
-
 
 def a100() -> GpuSpec:
     """A100-40GB spec with the calibrated throughput constants."""

@@ -11,10 +11,9 @@ One iteration on one GPU rank:
 Each phase advances the rank's simulated clock under its phase label;
 Fig. 9/11/12 are read off the resulting timeline.
 
-:func:`sample_and_gather` and :func:`train_batch` are the two halves;
-:func:`run_iteration` runs them back-to-back on one rank (the true-DDP
-path and the tests).  The symmetric schedules — sequential, double-buffered
-and out-of-core streaming — all run through
+:func:`sample_and_gather` and :func:`train_batch` are the two halves.
+Every data-parallel schedule — sequential, double-buffered, out-of-core
+streaming, true DDP and the cluster — runs them through
 :class:`~repro.train.streaming.StreamingLoader` and
 :func:`~repro.train.streaming.train_step`.  The bucketed gradient-sync
 planner below serves every schedule.
@@ -31,18 +30,7 @@ from repro.nn.tensor import Tensor
 from repro.ops.neighbor_sampler import NeighborSampler, SampledSubgraph
 from repro.sim import join
 from repro.telemetry import metrics
-from repro.train.metrics import PhaseTimes, accuracy
-
-
-@dataclass
-class IterationResult:
-    """Everything one training iteration produced."""
-
-    loss: float
-    batch_accuracy: float
-    times: PhaseTimes
-    subgraph: SampledSubgraph
-    num_input_nodes: int
+from repro.train.metrics import accuracy
 
 
 def sample_and_gather(
@@ -99,70 +87,6 @@ def train_batch(
         if optimizer is not None:
             optimizer.step()
     return float(loss.data), accuracy(logits.data, labels)
-
-
-def run_iteration(
-    store,
-    sampler: NeighborSampler,
-    model,
-    seeds: np.ndarray,
-    rank: int,
-    rng: np.random.Generator,
-    optimizer=None,
-    charge_train: bool = True,
-    compute_grads: bool | None = None,
-    train_time_factor: float = 1.0,
-    model_rng: np.random.Generator | None = None,
-) -> IterationResult:
-    """Run one mini-batch iteration on ``rank`` (sequential schedule).
-
-    ``optimizer`` given: backward + step.  ``compute_grads=True`` without an
-    optimizer: backward only (the DDP path, which steps after the gradient
-    all-reduce).  Neither: pure inference (evaluation path).  ``model_rng``
-    gives dropout its own stream (defaults to ``rng`` — the legacy shared
-    stream); the pipelined schedule relies on the split so both schedules
-    consume each stream in the same order.  The returned phase times are the
-    clock deltas this iteration added on ``rank``.
-    """
-    if compute_grads is None:
-        compute_grads = optimizer is not None
-    node = store.node
-    clock = node.gpu_clock[rank]
-
-    t0 = clock.now
-    subgraph, x_np, t_sample, t_gather = sample_and_gather(
-        store, sampler, seeds, rank, rng
-    )
-    labels = store.labels[seeds]
-    loss, batch_acc = train_batch(
-        model, subgraph, x_np, labels,
-        rng=model_rng if model_rng is not None else rng,
-        optimizer=optimizer, compute_grads=compute_grads,
-    )
-    if charge_train:
-        clock.advance(
-            model.estimate_train_time(subgraph) * train_time_factor,
-            phase="train", category="compute",
-            args={"edges": subgraph.total_edges(),
-                  "input_nodes": int(subgraph.input_nodes.shape[0])},
-        )
-    t3 = clock.now
-    reg = metrics.get_registry()
-    reg.counter("iterations_total", schedule="sequential").inc(1)
-    reg.counter("phase_seconds_total", phase="train").inc(
-        t3 - t0 - t_sample - t_gather
-    )
-
-    return IterationResult(
-        loss=loss,
-        batch_accuracy=batch_acc,
-        times=PhaseTimes(
-            sample=t_sample, gather=t_gather,
-            train=t3 - t0 - t_sample - t_gather,
-        ),
-        subgraph=subgraph,
-        num_input_nodes=int(subgraph.input_nodes.shape[0]),
-    )
 
 
 # ---------------------------------------------------------------------------

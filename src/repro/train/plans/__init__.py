@@ -15,7 +15,7 @@ partitioned full-graph training) and :class:`ClusterDataParallelPlan`
 (data parallelism over several machine nodes, one replica per node).
 """
 
-from repro.train.plans.base import ParallelismPlan, resolve_plan
+from repro.train.plans.base import ParallelismPlan, Replica, resolve_plan
 from repro.train.plans.cagnet import CagnetFullGraphPlan
 from repro.train.plans.cluster import ClusterDataParallelPlan
 from repro.train.plans.data_parallel import DataParallelPlan
@@ -32,6 +32,7 @@ __all__ = [
     "HybridParallelPlan",
     "ParallelismPlan",
     "PipelineParallelPlan",
+    "Replica",
     "bubble_fraction",
     "resolve_plan",
 ]

@@ -33,29 +33,45 @@ import numpy as np
 from repro import config
 from repro.faults import RankFailureError
 from repro.hardware import costmodel
+from repro.nn.optim import Adam
 from repro.telemetry import metrics
 from repro.train.checkpoint import load_checkpoint
+from repro.train.grad_sync import GradSyncModel, average_gradients
 from repro.train.metrics import PhaseTimes
+from repro.train.streaming import train_step
 
 
 @dataclass
-class MachineReplica:
-    """One machine node's full training replica (paper §III-D).
+class Replica:
+    """One full training replica (paper §III-D).
 
-    Every machine node holds its own graph store, sampler, model and
-    optimizer (and, for link prediction, embedding table and sparse
-    optimizer), and draws batches and dropout from its own streams.
+    A replica holds a model and optimizer (and, for link prediction, an
+    embedding table and sparse optimizer), reads batches through its store
+    and sampler, and draws batches and dropout from its own streams.  It
+    stands for ``ranks`` of its node's GPUs (default: all of them): it
+    computes on the first and mirrors its durations onto the rest.  A
+    symmetric single-node run is one replica; the cluster holds one per
+    machine node and true DDP one per GPU rank.
     """
 
-    node: object
     store: object
     sampler: object
-    model: object
-    optimizer: object
-    sample_rng: np.random.Generator
-    model_rng: np.random.Generator
+    model: object = None
+    optimizer: object = None
+    sample_rng: np.random.Generator | None = None
+    model_rng: np.random.Generator | None = None
     embedding: object = None
     sparse_optimizer: object = None
+    ranks: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not self.ranks:
+            self.ranks = tuple(range(self.node.num_gpus))
+
+    @property
+    def node(self):
+        """The machine node the replica's store lives on."""
+        return self.store.node
 
 
 class ParallelismPlan:
@@ -75,6 +91,9 @@ class ParallelismPlan:
     def __init__(self):
         """Initialise the (unbound) plan."""
         self.trainer = None
+        #: the replicas a subclass builds in :meth:`bind`; empty means the
+        #: one replica made of the trainer's own state
+        self._replicas: list[Replica] = []
 
     @property
     def trainer(self):
@@ -93,11 +112,11 @@ class ParallelismPlan:
     def bind(self, trainer) -> None:
         """Attach the plan to ``trainer`` and build its execution state.
 
-        Subclasses validate the trainer's schedule knobs, then must leave
-        ``trainer.replicas`` (with one ``trainer.optimizers`` entry per
-        replica), ``trainer.ddp`` and ``trainer.grad_sync`` populated — the
-        grad-sync engine is plan-owned state that merely lives on the
-        trainer for reporting and test access.
+        Subclasses validate the trainer's schedule knobs, build any
+        replicas beyond the trainer's own, and must leave
+        ``trainer.grad_sync`` populated — the grad-sync engine is
+        plan-owned state that merely lives on the trainer for reporting and
+        test access.
         """
         raise NotImplementedError
 
@@ -115,19 +134,53 @@ class ParallelismPlan:
     @property
     def nodes(self) -> list:
         """The machine nodes this plan trains on (node 0 first)."""
-        return [m.node for m in self.machines]
+        return list(dict.fromkeys(r.node for r in self.replicas))
 
     @property
-    def machines(self) -> list[MachineReplica]:
-        """One :class:`MachineReplica` per machine node (node 0 first).
+    def replicas(self) -> list[Replica]:
+        """Every model replica (replica 0 first).
 
-        Machine node 0 is the trainer's own node, store, model and streams.
+        Replica 0 is the trainer's own node, store, model and streams;
+        without replicas built in :meth:`bind` it is the only one.
         """
+        if self._replicas:
+            return self._replicas
         t = self.trainer
-        return [MachineReplica(
-            t.node, t.store, t.sampler, t.model, t.optimizer,
-            t.rngs.rank(0), t._model_rng, t.embedding, t.sparse_optimizer,
+        return [Replica(
+            t.store, t.sampler, t.model, t.optimizer, t.rngs.rank(0),
+            t._model_rng, t.embedding, t.sparse_optimizer,
         )]
+
+    def _clone_model(self, i: int):
+        """A copy of the trainer's model for replica ``i``, and its own
+        optimizer: the DDP weight broadcast."""
+        t = self.trainer
+        model = t._build_model(t.rngs.named(f"replica{i}"))
+        model.load_state_dict(t.model.state_dict())
+        return model, Adam(model.parameters(), lr=t.lr)
+
+    def _build_grad_sync(self, nodes) -> GradSyncModel:
+        """The bucketed grad-sync engine over ``nodes`` for the model."""
+        t = self.trainer
+        return GradSyncModel(
+            nodes,
+            [p.data.nbytes for p in t.model.parameters()],
+            bucket_cap_mb=t._bucket_cap_mb,
+            overlap=t._overlap_grad_sync,
+        )
+
+    def assert_in_sync(self) -> None:
+        """Every replica holds bitwise the same weights (and, for link
+        prediction, the same embedding table) as replica 0."""
+        ref, *rest = self.replicas
+        for i, r in enumerate(rest, start=1):
+            for a, b in zip(ref.model.state_dict(), r.model.state_dict()):
+                if not np.array_equal(a, b):
+                    raise AssertionError(f"replica {i} diverged")
+            if r.embedding is not None and not np.array_equal(
+                r.embedding.state_dict(), ref.embedding.state_dict()
+            ):
+                raise AssertionError(f"replica {i} embedding diverged")
 
     def _now(self) -> float:
         """The latest GPU clock over every machine node."""
@@ -157,7 +210,8 @@ class ParallelismPlan:
         from repro.train.trainer import EpochStats
 
         t = self.trainer
-        t.model.train()
+        for r in self.replicas:
+            r.model.train()
         t_start = max(node.sync() for node in self.nodes)
         losses: list[float] = []
         times = PhaseTimes()
@@ -182,13 +236,6 @@ class ParallelismPlan:
                     exc, batches, cursor, losses
                 )
         t_end = max(node.sync() for node in self.nodes)
-        if t.compute_ranks == "all":
-            # true DDP: every rank computed, so read rank 0's timeline
-            dev0 = t.node.gpu_memory[0].device
-            times = PhaseTimes(*(
-                t.node.timeline.phase_total(phase, dev0)
-                for phase in ("sample", "gather", "train")
-            ))
         allreduce, wait, hidden = (
             d + now - s for d, now, s in zip(done, self._sync_totals(), start)
         )
@@ -208,27 +255,47 @@ class ParallelismPlan:
             t._save_checkpoint()
         return stats
 
-    def sync_gradients(self, producers) -> None:
-        """Average dense gradients over the machine replicas, then charge
-        the bucketed sync.
+    def sync_gradients(self, trained) -> None:
+        """Average the dense gradients of the replicas that trained, give
+        every replica the average, then charge the bucketed sync.
 
-        The average accumulates in float64 and rounds once to float32, so
-        identical replicas get their gradients back bitwise unchanged; one
-        machine node averages nothing.  ``producers`` are the
-        ``(clock_now, train_seconds)`` pairs of the replicas that ran
-        backward (:meth:`~repro.train.ddp.GradSyncModel.charge`).
+        ``trained`` pairs each replica that ran backward this round with
+        its train seconds.  A replica that sat the round out keeps its
+        stale gradient out of the average but steps with the others
+        (:func:`~repro.train.grad_sync.average_gradients`).  The charge's
+        producers are the trained replicas' compute clocks and windows
+        (:meth:`~repro.train.grad_sync.GradSyncModel.charge`).
         """
-        models = [m.model for m in self.machines]
-        if len(models) > 1:
-            for group in zip(*(m.parameters() for m in models)):
-                acc = np.zeros(group[0].data.shape, dtype=np.float64)
-                for p in group:
-                    if p.grad is not None:
-                        acc += p.grad
-                mean = (acc / len(group)).astype(np.float32)
-                for p in group:
-                    p.grad = mean.copy()
-        self.trainer.grad_sync.charge(producers, phase="allreduce")
+        average_gradients(
+            [r.model for r in self.replicas], [r.model for r, _ in trained]
+        )
+        self.trainer.grad_sync.charge(
+            [(r.node.gpu_clock[r.ranks[0]].now, train_t)
+             for r, train_t in trained],
+            phase="allreduce",
+        )
+
+    def _train_round(self, loaders, batches, upcoming) -> list[float]:
+        """One data-parallel round; returns the trained replicas' losses.
+
+        The replica behind ``loaders[i]`` trains ``batches[i]`` through
+        :func:`~repro.train.streaming.train_step`, prefetching from
+        ``upcoming[i]``; replicas past the last batch sit the round out.
+        The gradients are averaged (:meth:`sync_gradients`) and every
+        replica's optimizer steps.
+        """
+        t = self.trainer
+        losses, trained = [], []
+        for loader, seeds, ahead in zip(loaders, batches, upcoming):
+            loss, train_t = train_step(
+                loader, seeds, ahead, train_time_factor=t.layer_cost_factor
+            )
+            losses.append(loss)
+            trained.append((loader.replica, train_t))
+        self.sync_gradients(trained)
+        for r in self.replicas:
+            r.optimizer.step()
+        return losses
 
     def report_config(self) -> dict:
         """Config keys this plan adds to the run manifest.
@@ -319,8 +386,8 @@ class ParallelismPlan:
         )
         path = t._checkpoint_path()
         if os.path.exists(path):
-            for replica, opt in zip(t.replicas, t.optimizers):
-                load_checkpoint(path, replica, opt)
+            for r in self.replicas:
+                load_checkpoint(path, r.model, r.optimizer)
 
 
 def resolve_plan(plan) -> ParallelismPlan:

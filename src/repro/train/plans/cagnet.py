@@ -20,7 +20,7 @@ reduces ride the comm lanes under the ``broadcast``/``reduce`` phases
 priced by :func:`~repro.hardware.costmodel.ring_broadcast_time` and the
 chunked-ring all-reduce model, so both feed the analysis layer's blame
 tables; layer-weight gradients sync through the plan-owned
-:class:`~repro.train.ddp.GradSyncModel` like any other plan.
+:class:`~repro.train.grad_sync.GradSyncModel` like any other plan.
 
 Dual-layer contract: the functional epoch is one deterministic full-graph
 pass (loss over the training nodes only), independent of ``p`` and ``c``;
@@ -38,7 +38,6 @@ from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.ops.neighbor_sampler import LayerBlock, SampledSubgraph
 from repro.telemetry import metrics
-from repro.train.ddp import GradSyncModel
 from repro.train.metrics import PhaseTimes
 from repro.train.plans.base import ParallelismPlan
 
@@ -86,15 +85,7 @@ class CagnetFullGraphPlan(ParallelismPlan):
                 f"replication must divide the GPU count ({p}); got {c}"
             )
         self.replication = c
-        t.replicas = [t.model]
-        t.ddp = None
-        t.grad_sync = GradSyncModel(
-            t.node,
-            [p_.data.size * p_.data.itemsize
-             for p_ in t.model.parameters()],
-            bucket_cap_mb=t._bucket_cap_mb,
-            overlap=t._overlap_grad_sync,
-        )
+        t.grad_sync = self._build_grad_sync(t.node)
         # the whole graph as one L-layer "sample": every frontier is all
         # nodes, every block the full square CSR (no duplicate counts —
         # nothing was sampled, so nothing was deduplicated)

@@ -9,17 +9,21 @@ manifests recorded before the abstraction existed
 
 Two execution modes (selected by the trainer's ``compute_ranks``):
 
-- ``"one"`` — SPMD-symmetric simulation: rank 0 runs the real math and its
-  per-phase durations are mirrored onto the other ranks;
-- ``"all"`` — true DDP: one model replica per GPU, per-rank batches, real
-  bucketed gradient all-reduce every step.
+- ``"one"`` — SPMD-symmetric simulation: one replica stands for every
+  rank; rank 0 runs the real math and its per-phase durations are mirrored
+  onto the other ranks;
+- ``"all"`` — true DDP: one :class:`~repro.train.plans.base.Replica` per
+  GPU rank, each training its slice of the global batch, and the plan's
+  gradient average every step.
 
 Within the symmetric mode the trainer's schedule knobs select the
-lookahead of one :class:`~repro.train.streaming.StreamingLoader`:
-sequential (0), double-buffered (``overlap=True``, 1) or out-of-core
-streaming (``streaming=True``, ``prefetch_depth``); every step runs
-through :func:`~repro.train.streaming.train_step`.  Both recovery policies
-(checkpoint restart and elastic shrink) plug in here.
+lookahead of the one replica's
+:class:`~repro.train.streaming.StreamingLoader`: sequential (0),
+double-buffered (``overlap=True``, 1) or out-of-core streaming
+(``streaming=True``, ``prefetch_depth``).  Both modes train every step
+through the plans' one replica round
+(:meth:`~repro.train.plans.base.ParallelismPlan._train_round`).  Both
+recovery policies (checkpoint restart and elastic shrink) plug in here.
 """
 
 from __future__ import annotations
@@ -28,17 +32,13 @@ from itertools import islice
 
 import numpy as np
 
-from repro.dsm.comm import Communicator
 from repro.faults import RankFailureError
 from repro.hardware.machine import SimNode
 from repro.hardware.spec import dgx_a100
-from repro.nn.optim import Adam
 from repro.ops.neighbor_sampler import NeighborSampler
-from repro.train.ddp import DistributedDataParallel, GradSyncModel
 from repro.train.metrics import PhaseTimes
-from repro.train.pipeline import run_iteration
-from repro.train.plans.base import ParallelismPlan
-from repro.train.streaming import StreamingLoader, train_step
+from repro.train.plans.base import ParallelismPlan, Replica
+from repro.train.streaming import StreamingLoader
 
 
 class DataParallelPlan(ParallelismPlan):
@@ -47,116 +47,75 @@ class DataParallelPlan(ParallelismPlan):
     name = "data_parallel"
 
     def bind(self, trainer) -> None:
-        """Build the replica set and the bucketed grad-sync engine."""
+        """Build the replica set and the bucketed grad-sync engine.
+
+        True DDP gives every rank a replica — rank 0 the trainer's model
+        and optimizer, the others copies with their own optimizers — that
+        draws sampling and dropout from the rank's one stream.
+        """
         self.trainer = trainer
         t = trainer
         if t.compute_ranks == "all":
-            t.replicas = [t.model] + [
-                t._build_model(t.rngs.named(f"replica{r}"))
-                for r in range(1, t.node.num_gpus)
-            ]
-            t.comm = Communicator(t.node)
-            t.ddp = DistributedDataParallel(
-                t.replicas, t.comm,
-                bucket_cap_mb=t._bucket_cap_mb,
-                overlap_grad_sync=t._overlap_grad_sync,
-            )
-            t.grad_sync = t.ddp.sync_model
-            t.optimizers = [Adam(r.parameters(), lr=t.lr) for r in t.replicas]
-            t.optimizers[0] = t.optimizer
-        else:
-            t.replicas = [t.model]
-            t.ddp = None
-            t.grad_sync = GradSyncModel(
-                t.node,
-                [p.data.size * p.data.itemsize
-                 for p in t.model.parameters()],
-                bucket_cap_mb=t._bucket_cap_mb,
-                overlap=t._overlap_grad_sync,
-            )
+            for r in range(t.node.num_gpus):
+                model, optimizer = (
+                    (t.model, t.optimizer) if r == 0 else self._clone_model(r)
+                )
+                rng = t.rngs.rank(r)
+                self._replicas.append(Replica(
+                    t.store, t.sampler, model, optimizer, rng, rng,
+                    ranks=(r,),
+                ))
+        t.grad_sync = self._build_grad_sync(t.node)
 
     # -- epoch loop --------------------------------------------------------
 
     def train_epoch(self, max_iterations):
         """One pass over the training nodes (optionally truncated)."""
-        t = self.trainer
-        batches = t._epoch_batches()
+        batches = self.trainer._epoch_batches()
         if max_iterations is not None:
             batches = batches[:max_iterations]
-        if t.compute_ranks == "all":
-            return self.run_epoch(
-                batches,
-                lambda todo, _times: ([self._step_all_ranks(b)] for b in todo),
-            )
-        return self.run_epoch(batches, self._symmetric_steps)
+        return self.run_epoch(batches, self._steps)
 
-    # -- step / schedule implementations -----------------------------------
+    def _steps(self, batches: list[np.ndarray], times: PhaseTimes):
+        """Train ``batches`` off one loader per replica; yields each step's
+        ``[loss]``, the mean of the replicas' losses.
 
-    def _symmetric_steps(self, batches: list[np.ndarray],
-                         times: PhaseTimes):
-        """Train ``batches`` off one loader; yields each step's ``[loss]``.
-
-        Rank 0 computes and the other ranks are charged its durations.
-        The lookahead picks the schedule: 0 is sequential, 1 the
-        double-buffered ``overlap`` schedule, ``prefetch_depth`` the
-        out-of-core ``streaming`` one.  The loader's phase seconds
-        accumulate into ``times``.  An in-core loader syncs the node after
-        its prologue and after every step.  The host-stream loader does not:
-        the grad-sync barrier aligns the compute streams, while the host
-        clock is free to run ahead into future batches' transfers.
+        Each global batch splits into one slice per replica: the symmetric
+        replica trains the whole batch, a true-DDP rank its slice (the
+        batch's first seed if its slice is empty).  The lookahead picks the
+        symmetric schedule: 0 is sequential, 1 the double-buffered
+        ``overlap`` schedule, ``prefetch_depth`` the out-of-core
+        ``streaming`` one; true DDP runs at 0, so only a lone replica ever
+        reads ahead in ``batches``.  Replica 0's phase seconds accumulate
+        into ``times``.  An in-core loader syncs the node after its prologue
+        and after every step.  The host-stream loader does not: the
+        grad-sync barrier aligns the compute streams, while the host clock
+        is free to run ahead into future batches' transfers.
         """
         t = self.trainer
         node = t.node
-        loader = StreamingLoader(
-            t.store, t.sampler, rank=0,
-            prefetch_depth=t.prefetch_depth if t.streaming else int(t.overlap),
-        )
-        loader.times = times
-        rng = t.rngs.rank(0)
+        depth = t.prefetch_depth if t.streaming else int(t.overlap)
+        loaders = [
+            StreamingLoader(r, prefetch_depth=depth) for r in self.replicas
+        ]
+        loaders[0].times = times
         pending = iter(batches)
-        for seeds in islice(pending, loader.prefetch_depth):
-            loader.prefetch(seeds, rng)
-        if not loader.streams_host:
+        for seeds in islice(pending, depth):
+            loaders[0].prefetch(seeds, self.replicas[0].sample_rng)
+        in_core = not loaders[0].streams_host
+        if in_core:
             node.sync()
-        for seeds in batches:
-            loss, train_t = train_step(
-                loader, seeds, pending, rng, t.model, t._model_rng,
-                optimizer=t.optimizer, train_time_factor=t.layer_cost_factor,
+        for batch in batches:
+            slices = [
+                s if s.size else batch[:1]
+                for s in np.array_split(batch, len(loaders))
+            ]
+            losses = self._train_round(
+                loaders, slices, [pending] * len(loaders)
             )
-            t.grad_sync.charge(
-                producers=[(node.gpu_clock[0].now, train_t)],
-                phase="allreduce",
-            )
-            if not loader.streams_host:
+            if in_core:
                 node.sync()
-            yield [loss]
-
-    def _step_all_ranks(self, batch: np.ndarray) -> float:
-        """True DDP: per-rank batches, real gradient all-reduce."""
-        t = self.trainer
-        node = t.node
-        # split the global batch across ranks (pad by wrapping)
-        per_rank = np.array_split(batch, node.num_gpus)
-        losses = []
-        train_times = []
-        for rank in range(node.num_gpus):
-            seeds = per_rank[rank]
-            if seeds.size == 0:
-                seeds = batch[:1]
-            model = t.replicas[rank]
-            model.train()
-            res = run_iteration(
-                t.store, t.sampler, model, seeds, rank,
-                t.rngs.rank(rank), optimizer=None, charge_train=True,
-                compute_grads=True,
-            )
-            losses.append(res.loss)
-            train_times.append(res.times.train)
-        t.ddp.sync_gradients(phase="allreduce", train_times=train_times)
-        for opt in t.optimizers:
-            opt.step()
-        node.sync()
-        return float(np.mean(losses))
+            yield [float(np.mean(losses))]
 
     # -- fault recovery ----------------------------------------------------
 
@@ -214,13 +173,7 @@ class DataParallelPlan(ParallelismPlan):
         t.node = new_node
         t.store = new_store
         t.sampler = NeighborSampler(new_store, t.sampler.fanouts)
-        t.grad_sync = GradSyncModel(
-            new_node,
-            [p.data.size * p.data.itemsize
-             for p in t.model.parameters()],
-            bucket_cap_mb=t.grad_sync.bucket_cap_mb,
-            overlap=t.grad_sync.overlap,
-        )
+        t.grad_sync = self._build_grad_sync(new_node)
         if t.fault_injector is not None:
             t.fault_injector.install(new_node)
         new_node.sync(phase="recovery_wait")

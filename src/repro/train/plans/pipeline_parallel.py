@@ -38,7 +38,6 @@ from repro import config
 from repro.faults import RankFailureError
 from repro.hardware import costmodel
 from repro.telemetry import metrics
-from repro.train.ddp import GradSyncModel
 from repro.train.metrics import PhaseTimes
 from repro.train.pipeline import sample_and_gather, train_batch
 from repro.train.plans.base import ParallelismPlan
@@ -110,16 +109,9 @@ class PipelineParallelPlan(ParallelismPlan):
             [int(d) for d in part]
             for part in np.array_split(np.arange(num_layers), stages)
         ]
-        t.replicas = [t.model]
-        t.ddp = None
         # stage-local parameters: the engine below prices the hybrid plan's
         # cross-group sync; the pure pipeline never charges it
-        t.grad_sync = GradSyncModel(
-            t.node,
-            [p.data.size * p.data.itemsize for p in t.model.parameters()],
-            bucket_cap_mb=t._bucket_cap_mb,
-            overlap=t._overlap_grad_sync,
-        )
+        t.grad_sync = self._build_grad_sync(t.node)
 
     def report_config(self) -> dict:
         """Plan name plus the pipeline shape knobs."""

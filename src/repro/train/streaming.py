@@ -1,11 +1,11 @@
-"""The batch loader and training step behind every symmetric schedule.
+"""The batch loader and training step behind every data-parallel schedule.
 
 The paper's iteration (§III-D, Fig. 1) is one loop — sample, gather,
 train — and the schedules differ only in how far ahead of the trained batch
 the loader runs.  :class:`StreamingLoader` keeps a queue of up to
 ``prefetch_depth`` prepared batches; :func:`train_step` takes the oldest,
-tops the queue up, trains, and launches the train op on every compute
-stream:
+tops the queue up, trains, and launches the train op on the compute
+stream of every rank the loader's replica stands for:
 
 - **depth 0 — sequential.**  Nothing is staged ahead: each step fetches its
   own batch inline (:func:`~repro.train.pipeline.sample_and_gather` on the
@@ -29,11 +29,13 @@ stream:
   transfers serialise like a real copy engine.  Exposed/hidden seconds
   land in the ``host_fetch_*_seconds_total`` ledgers.
 
-Under every schedule the other ranks are charged rank 0's sample and
-gather durations on their compute streams (the SPMD-symmetric
-approximation).  The functional math never changes: sampling and dropout
-draw from separate streams, each consumed in batch order, so losses and
-trained weights are bit-identical across schedules at equal seeds.
+Under every schedule the replica's other ranks are charged its computing
+rank's sample and gather durations on their compute streams (the
+SPMD-symmetric approximation).  A true-DDP replica stands for one rank, so
+its loader charges that rank alone.  The functional math never changes:
+sampling and dropout draw from separate streams, each consumed in batch
+order, so losses and trained weights are bit-identical across schedules at
+equal seeds.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from repro import config
 from repro.hardware import costmodel
-from repro.ops.neighbor_sampler import NeighborSampler, SampledSubgraph
+from repro.ops.neighbor_sampler import SampledSubgraph
 from repro.telemetry import metrics
 from repro.train import pipeline
 from repro.train.metrics import PhaseTimes
@@ -70,23 +72,21 @@ class _StagedBatch:
 
 
 class StreamingLoader:
-    """Depth-``prefetch_depth`` batch queue over one store/sampler pair.
+    """Depth-``prefetch_depth`` batch queue over one replica's store/sampler.
 
-    The trainer calls :meth:`prefetch` to stage batches ahead and
-    :meth:`take` for the current one (or lets :func:`train_step` do both).
-    ``times`` accumulates the rank's sample/gather/train seconds of every
-    batch this loader handled; a caller may point it at its own
+    The loader charges the ranks the
+    :class:`~repro.train.plans.base.Replica` stands for: it computes on the
+    first and mirrors the durations onto the rest.  The trainer calls
+    :meth:`prefetch` to stage batches ahead and :meth:`take` for the current
+    one (or lets :func:`train_step` do both).  ``times`` accumulates the
+    computing rank's sample/gather/train seconds of every batch this loader
+    handled; a caller may point it at its own
     :class:`~repro.train.metrics.PhaseTimes` to keep one running total
     across loaders.
     """
 
-    def __init__(
-        self,
-        store,
-        sampler: NeighborSampler,
-        rank: int = 0,
-        prefetch_depth: int | None = None,
-    ):
+    def __init__(self, replica, prefetch_depth: int | None = None):
+        store = replica.store
         if prefetch_depth is None:
             prefetch_depth = config.PREFETCH_DEPTH
         if prefetch_depth < 0:
@@ -99,9 +99,12 @@ class StreamingLoader:
                 "streaming prefetch plans against a stable cache hit set; "
                 "use the static cache policy (or no cache)"
             )
+        self.replica = replica
         self.store = store
-        self.sampler = sampler
-        self.rank = rank
+        self.sampler = replica.sampler
+        #: the ranks charged: the computing rank, then its mirrors
+        self.ranks = replica.ranks
+        self.rank = replica.ranks[0]
         self.node = store.node
         self.tensor = store.feature_tensor
         self.cache = cache
@@ -147,11 +150,10 @@ class StreamingLoader:
             sg, x_np, t_sample, t_gather = pipeline.sample_and_gather(
                 self.store, self.sampler, seeds, self.rank, rng
             )
-            for r in range(self.node.num_gpus):
-                if r != self.rank:
-                    stream = self.node.streams.compute(r)
-                    stream.launch(t_sample, phase="sample")
-                    stream.launch(t_gather, phase="gather")
+            for r in self.ranks[1:]:
+                stream = self.node.streams.compute(r)
+                stream.launch(t_sample, phase="sample")
+                stream.launch(t_gather, phase="gather")
             fetched = PhaseTimes(sample=t_sample, gather=t_gather)
             self.times += fetched
             self._queue.append(_StagedBatch(sg, x_np))
@@ -162,9 +164,8 @@ class StreamingLoader:
         t0 = clock.now
         sg = self.sampler.sample(seeds, self.rank, rng)
         t_sample = clock.now - t0
-        for r in range(node.num_gpus):
-            if r != self.rank:
-                node.streams.compute(r).launch(t_sample, phase="sample")
+        for r in self.ranks[1:]:
+            node.streams.compute(r).launch(t_sample, phase="sample")
 
         rows = sg.input_nodes
         x_np = self.tensor.gather_no_cost(rows)
@@ -200,10 +201,10 @@ class StreamingLoader:
         """Pop the oldest staged ``(subgraph, features)`` for training.
 
         On the host stream this launches the HBM read of the staged rows
-        (plus cache hits) on every compute stream behind the fetch event —
-        if the transfer is still in flight, the dependency stall lands as a
-        non-busy ``host_fetch_wait`` span: the *exposed* portion of the
-        host transfer, and nothing more.
+        (plus cache hits) on the replica's compute streams behind the fetch
+        event — if the transfer is still in flight, the dependency stall
+        lands as a non-busy ``host_fetch_wait`` span: the *exposed* portion
+        of the host transfer, and nothing more.
         """
         if not self._queue:
             raise RuntimeError("nothing staged — call prefetch() first")
@@ -239,7 +240,7 @@ class StreamingLoader:
             "stall_s": stall,
             "tensor": tensor.tag,
         }
-        for r in range(node.num_gpus):
+        for r in self.ranks:
             node.streams.compute(r).launch(
                 t_consume, deps=(staged.event,), phase="gather",
                 category="gather", wait_phase="host_fetch_wait",
@@ -286,22 +287,23 @@ def train_step(
     loader: StreamingLoader,
     seeds: np.ndarray,
     upcoming,
-    rng: np.random.Generator,
-    model,
-    model_rng: np.random.Generator,
-    optimizer=None,
     train_time_factor: float = 1.0,
 ) -> tuple[float, float]:
-    """Train ``seeds`` off ``loader``; returns ``(loss, train seconds)``.
+    """Train ``seeds`` on the loader's replica; returns ``(loss, train
+    seconds)``.
 
     Fetches ``seeds`` first if nothing is staged (the sequential schedule
     and a pipeline prologue), takes the staged batch, tops the queue up to
     ``prefetch_depth`` from the ``upcoming`` seed iterator, then runs the
-    forward/backward (and ``optimizer`` step, if given).  The train op goes
-    on every compute stream as ``max(0.0, train - overlapped)``, where
-    ``overlapped`` is the in-core prefetch launched during this step.  The
-    caller charges the gradient sync.
+    replica model's forward/backward.  Sampling draws from the replica's
+    ``sample_rng`` and dropout from its ``model_rng``.  The train op goes
+    on the replica's compute streams as ``max(0.0, train - overlapped)``,
+    where ``overlapped`` is the in-core prefetch launched during this step.
+    The caller averages the gradients, charges their sync and steps the
+    optimizer.
     """
+    replica = loader.replica
+    rng = replica.sample_rng
     node = loader.node
     clock = node.gpu_clock[loader.rank]
     t0 = clock.now
@@ -316,10 +318,10 @@ def train_step(
         if not loader.streams_host:
             overlapped += ahead.sample + ahead.gather
     loss, _ = pipeline.train_batch(
-        model, sg, x_np, loader.store.labels[seeds],
-        rng=model_rng, optimizer=optimizer, compute_grads=True,
+        replica.model, sg, x_np, loader.store.labels[seeds],
+        rng=replica.model_rng, compute_grads=True,
     )
-    train_t = model.estimate_train_time(sg) * train_time_factor
+    train_t = replica.model.estimate_train_time(sg) * train_time_factor
     exposed = max(0.0, train_t - overlapped)
     schedule = loader.schedule
     args = {"edges": sg.total_edges(),
@@ -335,11 +337,10 @@ def train_step(
         # time net of its inline fetch: ``train_t`` up to rounding, and the
         # float the golden manifests were recorded with
         train_t = exposed = clock.now - t0 - fetched.sample - fetched.gather
-    for r in range(node.num_gpus):
-        if r != loader.rank:
-            streams.compute(r).launch(
-                exposed, phase="train", category="compute", args=args,
-            )
+    for r in loader.ranks[1:]:
+        streams.compute(r).launch(
+            exposed, phase="train", category="compute", args=args,
+        )
     reg = metrics.get_registry()
     reg.counter("iterations_total", schedule=schedule).inc(1)
     reg.counter("phase_seconds_total", phase="train").inc(train_t)

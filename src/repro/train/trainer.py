@@ -10,10 +10,10 @@ single node, N-node cluster, pipeline, CAGNET.  Two execution modes:
   ranks too (all ranks process statistically-identical batches, the
   standard symmetry assumption of data-parallel performance models).  This
   is the mode the performance experiments run in.
-- ``compute_ranks="all"`` — full data-parallel training: one model replica
-  per GPU, per-rank batches, real gradient all-reduce every step
-  (paper §III-D).  Used by the DDP correctness tests and multi-replica
-  accuracy runs.
+- ``compute_ranks="all"`` — true DDP: one model replica per GPU rank, each
+  training its slice of the global batch, and the plan's gradient average
+  every step (paper §III-D).  Used by the DDP correctness tests and
+  multi-replica accuracy runs.
 """
 
 from __future__ import annotations
@@ -339,9 +339,6 @@ class WholeGraphTrainer:
         else:
             self.model = self._build_model(init_rng)
         self.optimizer = Adam(self.model.parameters(), lr=lr)
-        #: one optimizer per model replica (``self.replicas``, which the
-        #: plan sets; true DDP and cluster plans hold several)
-        self.optimizers = [self.optimizer]
 
         self._epoch = 0
         self.history: list[EpochStats] = []
@@ -364,7 +361,7 @@ class WholeGraphTrainer:
         # -- parallelism plan ----------------------------------------------
         # the plan owns replicas, gradient sync and epoch scheduling; it
         # validates the schedule knobs against its strategy and populates
-        # self.replicas / self.ddp / self.grad_sync
+        # self.grad_sync
         self.plan = resolve_plan(plan)
         self.plan.bind(self)
 
@@ -467,7 +464,7 @@ class WholeGraphTrainer:
     # -- link prediction over the DSM embedding table ---------------------------
 
     def _step_linkpred(self, phase_totals: PhaseTimes) -> float:
-        """One link-prediction step over every machine node's replica.
+        """One link-prediction step over every replica.
 
         Every machine node scores the same global pair batch (replicated
         data parallelism), so the trajectory is the single-node one at any
@@ -476,14 +473,14 @@ class WholeGraphTrainer:
         replicas first when there is more than one.  ``phase_totals``
         accumulates machine node 0's phase seconds.
         """
-        machines = self.plan.machines
+        replicas = self.plan.replicas
         src, dst, labels = sample_link_batch(
             self.store.csr, self.num_pairs, self._pair_rng
         )
         reg = metrics.get_registry()
         losses = []
-        producers = []
-        for m in machines:
+        trained = []
+        for m in replicas:
             node = m.node
             clock = node.gpu_clock[0]
             res = linkpred_forward(
@@ -516,27 +513,27 @@ class WholeGraphTrainer:
                 clk.advance(res.t_sample, phase="sample")
                 clk.advance(res.t_gather, phase="gather")
                 clk.advance(train_t, phase="train")
-            producers.append((clock.now, train_t))
-            if m is machines[0]:
+            trained.append((m, train_t))
+            if m is replicas[0]:
                 phase_totals += PhaseTimes(
                     sample=res.t_sample, gather=res.t_gather, train=train_t
                 )
         # the embedding is not a Parameter: the dense sync's buckets cover
         # the encoder only
-        self.plan.sync_gradients(producers)
-        for m in machines:
+        self.plan.sync_gradients(trained)
+        for m in replicas:
             m.optimizer.step()
         # sparse rows: dedup + scatter-add + comm-lane push, touched-row
         # state update priced on the owning ranks
-        if len(machines) == 1:
+        if len(replicas) == 1:
             self.sparse_optimizer.step(rank=0)
         else:
             averaged = average_row_grads(
-                [m.sparse_optimizer.collect() for m in machines]
+                [m.sparse_optimizer.collect() for m in replicas]
             )
-            for m in machines:
+            for m in replicas:
                 m.sparse_optimizer.apply(averaged, rank=0)
-        for m in machines:
+        for m in replicas:
             m.node.sync()
         return float(np.mean(losses))
 

@@ -1,4 +1,4 @@
-"""Human-readable formatting of byte counts, durations and bandwidths."""
+"""Human-readable formatting of byte counts and durations."""
 
 from __future__ import annotations
 
@@ -22,8 +22,3 @@ def format_seconds(t: float) -> str:
     if abs(t) >= 1e-3:
         return f"{t * 1e3:.2f} ms"
     return f"{t * 1e6:.2f} us"
-
-
-def format_bandwidth(bytes_per_s: float) -> str:
-    """Format a bandwidth in GB/s."""
-    return f"{bytes_per_s / GB:.1f} GB/s"

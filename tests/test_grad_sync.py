@@ -1,10 +1,10 @@
 """Bucketed, backward-overlapped gradient synchronisation (paper §III-D).
 
-The contract under test: bucketing + overlap are *pure timing* features —
-the reduced gradients (and therefore the whole training trajectory) are
-bit-identical to the flat sequential all-reduce, while the simulated
-exposed communication shrinks and straggler stalls surface as a distinct
-``allreduce_wait`` phase.
+The contract under test: every replica set shares one gradient average —
+a float64 sum rounded once to float32 — and bucketing + overlap are *pure
+timing* features: the trajectory is bit-identical under every sync
+schedule, while the simulated exposed communication shrinks and straggler
+stalls surface as a distinct ``allreduce_wait`` phase.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from repro.hardware import SimNode
 from repro.nn import build_model
 from repro.nn.module import Module, Parameter
 from repro.train import WholeGraphTrainer
-from repro.train.ddp import (
-    DistributedDataParallel,
+from repro.train.grad_sync import (
     GradSyncModel,
     assign_buckets,
+    average_gradients,
     charge_allreduce,
 )
 from repro.train.pipeline import plan_grad_sync
@@ -40,79 +40,64 @@ class ToyModel(Module):
             ))
 
 
-def _make_ddp_pair(shapes, bucket_cap_mb, seed=0):
-    """Two DDP instances over identically-initialised replicas with
-    identical gradients: one bucketed, one for the flat reference path."""
-    node_a, node_b = SimNode(), SimNode()
-    reps_a = [
-        ToyModel(shapes, np.random.default_rng(seed + r))
-        for r in range(node_a.num_gpus)
-    ]
-    reps_b = [
-        ToyModel(shapes, np.random.default_rng(seed + r))
-        for r in range(node_b.num_gpus)
-    ]
-    bucketed = DistributedDataParallel(
-        reps_a, Communicator(node_a), bucket_cap_mb=bucket_cap_mb,
-        overlap_grad_sync=True,
-    )
-    flat = DistributedDataParallel(reps_b, Communicator(node_b))
+def _replicas_with_grads(shapes, n, seed=0):
+    """``n`` toy replicas, each holding its own random float32 gradients."""
     grad_rng = np.random.default_rng(seed + 999)
-    for ra, rb in zip(reps_a, reps_b):
-        for pa, pb in zip(ra.parameters(), rb.parameters()):
-            g = grad_rng.standard_normal(pa.data.shape).astype(np.float32)
-            pa.grad = g.copy()
-            pb.grad = g.copy()
-    return bucketed, flat
+    models = [ToyModel(shapes, np.random.default_rng(seed)) for _ in range(n)]
+    for m in models:
+        for p in m.parameters():
+            p.grad = grad_rng.standard_normal(p.data.shape).astype(np.float32)
+    return models
 
 
-# -- bit-identity: bucketed == flat ------------------------------------------------
+def _one_rounding_mean(grads):
+    """Literal reference: float64 sum, divide, round once to float32."""
+    total = sum(
+        np.zeros(1) if g is None else g.astype(np.float64) for g in grads
+    )
+    return (total / len(grads)).astype(np.float32)
+
+
+# -- the one gradient average ------------------------------------------------------
 
 @given(
     shapes=st.lists(
         st.tuples(st.integers(1, 12), st.integers(1, 12)),
-        min_size=1, max_size=7,
+        min_size=1, max_size=5,
     ),
-    # 0 -> single flat bucket; 1e-5 MB -> one bucket per parameter;
-    # None -> the configured default
-    cap=st.sampled_from([0.0, 1e-5, 1e-4, 1e-3, 25.0, None]),
+    n=st.integers(2, 8),
+    idle=st.integers(0, 7),
     seed=st.integers(0, 2**20),
 )
-@settings(max_examples=15)
-def test_bucketed_sync_bit_identical_to_flat(shapes, cap, seed):
-    bucketed, flat = _make_ddp_pair(shapes, cap, seed)
-    bucketed.sync_gradients()
-    flat.sync_gradients_flat()
-    for ra, rb in zip(bucketed.replicas, flat.replicas):
-        for pa, pb in zip(ra.parameters(), rb.parameters()):
-            assert np.array_equal(pa.grad, pb.grad)
+@settings(max_examples=20)
+def test_average_gradients_rounds_once(shapes, n, idle, seed):
+    """Every replica gets the trained replicas' one-rounding mean, for
+    every replica count (3 and 7 included) and every partial round."""
+    models = _replicas_with_grads(shapes, n, seed)
+    trained = models[: max(1, n - idle)]
+    want = [
+        _one_rounding_mean([m.parameters()[i].grad for m in trained])
+        for i in range(len(shapes))
+    ]
+    average_gradients(models, trained)
+    for m in models:
+        for p, w in zip(m.parameters(), want):
+            assert p.grad.dtype == np.float32
+            assert np.array_equal(p.grad, w)
 
 
 def test_bucketed_sync_handles_missing_grads():
-    """A ``None`` gradient reduces exactly like the flat path's zeros."""
-    shapes = [(3, 4), (7,), (2, 5)]
-    bucketed, flat = _make_ddp_pair(shapes, bucket_cap_mb=1e-5)
-    bucketed.replicas[2].parameters()[1].grad = None
-    flat.replicas[2].parameters()[1].grad = None
-    bucketed.sync_gradients()
-    flat.sync_gradients_flat()
-    for ra, rb in zip(bucketed.replicas, flat.replicas):
-        for pa, pb in zip(ra.parameters(), rb.parameters()):
-            assert np.array_equal(pa.grad, pb.grad)
-
-
-def test_sync_reuses_preallocated_views():
-    """After a sync every ``p.grad`` is a view into the flat bucket
-    storage — the no-per-step-concatenate invariant."""
-    shapes = [(4, 4), (9,), (3, 2)]
-    ddp, _ = _make_ddp_pair(shapes, bucket_cap_mb=1e-5)
-    ddp.sync_gradients()
-    flat_bases = {
-        id(buf) for bufs in ddp._flat for buf in bufs
-    }
-    for rep in ddp.replicas:
-        for p in rep.parameters():
-            assert id(p.grad.base) in flat_bases
+    """A ``None`` gradient counts as zero in the average."""
+    models = _replicas_with_grads([(3, 4), (7,), (2, 5)], 8)
+    models[2].parameters()[1].grad = None
+    want = [
+        _one_rounding_mean([m.parameters()[i].grad for m in models])
+        for i in range(3)
+    ]
+    average_gradients(models, models)
+    for m in models:
+        for p, w in zip(m.parameters(), want):
+            assert np.array_equal(p.grad, w)
 
 
 def _run_all_mode(dataset, overlap_grad_sync, bucket_cap_mb, epochs=2):
@@ -124,7 +109,7 @@ def _run_all_mode(dataset, overlap_grad_sync, bucket_cap_mb, epochs=2):
         overlap_grad_sync=overlap_grad_sync,
     )
     stats = [tr.train_epoch(max_iterations=2) for _ in range(epochs)]
-    tr.ddp.assert_in_sync()
+    tr.plan.assert_in_sync()
     weights = [p.data.copy() for p in tr.model.parameters()]
     return stats, weights
 
@@ -166,6 +151,39 @@ def test_cluster_training_bit_identical_across_sync_schedules(
     for a, b in zip(s_flat, s_over):
         assert a.mean_loss == b.mean_loss
     assert all(np.array_equal(x, y) for x, y in zip(w_flat, w_over))
+
+
+def test_cluster_partial_round_averages_trained_replicas(
+    small_dataset, cluster_trainer
+):
+    """3 machine nodes, 5 batches: the second round trains two replicas.
+    Their gradients alone are averaged, and every replica gets the mean."""
+    tr = cluster_trainer(
+        small_dataset, 3, "graphsage", batch_size=32, fanouts=[4], hidden=16,
+    )
+    assert tr.store.train_nodes.shape[0] // tr.batch_size == 5
+    plan = tr.plan
+    rounds = []
+    sync = plan.sync_gradients
+
+    def recording_sync(*args, **kwargs):
+        def grads():
+            return [[p.grad.copy() for p in r.model.parameters()]
+                    for r in plan.replicas]
+
+        before = grads()
+        sync(*args, **kwargs)
+        rounds.append((before, grads()))
+
+    plan.sync_gradients = recording_sync
+    tr.train_epoch()
+    assert len(rounds) == 2
+    before, after = rounds[1]
+    for i, (g0, g1) in enumerate(zip(before[0], before[1])):
+        want = ((g0.astype(np.float64) + g1) / 2).astype(np.float32)
+        for replica_grads in after:
+            assert np.array_equal(replica_grads[i], want)
+    plan.assert_in_sync()
 
 
 # -- bucket assignment ---------------------------------------------------------------

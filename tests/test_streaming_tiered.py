@@ -28,6 +28,7 @@ from repro.hardware import SimNode
 from repro.ops.neighbor_sampler import NeighborSampler
 from repro.telemetry import metrics
 from repro.train import StreamingLoader, WholeGraphTrainer
+from repro.train.plans import Replica
 
 TRAIN_KW = dict(
     seed=3, batch_size=32, fanouts=[5, 5], hidden=16, num_layers=2,
@@ -123,7 +124,7 @@ def test_streaming_loader_rejects_clock_cache(medium_dataset):
     )
     sampler = NeighborSampler(store, [5, 5])
     with pytest.raises(ValueError, match="static"):
-        StreamingLoader(store, sampler)
+        StreamingLoader(Replica(store, sampler))
 
 
 # -- per-tier byte ledgers reconcile with the registry (property-based) -------------
@@ -216,7 +217,7 @@ def test_streaming_prefetch_retries_charge_host_clock(
         host_pinned_fraction=0.4,
     )
     FaultInjector(plan).install(node)
-    loader = StreamingLoader(store, NeighborSampler(store, [5, 5]))
+    loader = StreamingLoader(Replica(store, NeighborSampler(store, [5, 5])))
     rng = np.random.default_rng(0)
     loader.prefetch(store.train_nodes[:32], rng)
     assert registry.total("retries_total") > 0

@@ -5,13 +5,9 @@ import pytest
 
 from repro.graph import MultiGpuGraphStore
 from repro.hardware import SimNode
-from repro.nn import Adam, build_model
-from repro.ops.neighbor_sampler import NeighborSampler
 from repro.train import WholeGraphTrainer
-from repro.train.ddp import DistributedDataParallel, charge_allreduce
+from repro.train.grad_sync import charge_allreduce
 from repro.train.metrics import PhaseTimes, accuracy
-from repro.train.pipeline import run_iteration
-from repro.dsm.comm import Communicator
 
 
 def make_trainer(dataset, model_name="graphsage", **kw):
@@ -34,32 +30,6 @@ def test_phase_times_arithmetic():
     a += PhaseTimes(0.5, 0.5, 0.5)
     assert a.total == pytest.approx(7.5)
     assert a.as_dict() == {"sample": 1.5, "gather": 2.5, "train": 3.5}
-
-
-def test_run_iteration_phases_and_loss(small_dataset, rng):
-    node = SimNode()
-    store = MultiGpuGraphStore(node, small_dataset, seed=0)
-    sampler = NeighborSampler(store, [5, 5])
-    model = build_model("gcn", store.feature_dim, store.num_classes, rng,
-                        hidden=8, num_layers=2)
-    opt = Adam(model.parameters(), lr=0.01)
-    res = run_iteration(store, sampler, model, store.train_nodes[:32], 0,
-                        rng, optimizer=opt)
-    assert res.loss > 0
-    assert res.times.sample > 0
-    assert res.times.gather > 0
-    assert res.times.train > 0
-    assert res.num_input_nodes >= 32
-
-
-def test_run_iteration_inference_mode_skips_grads(small_dataset, rng):
-    node = SimNode()
-    store = MultiGpuGraphStore(node, small_dataset, seed=0)
-    sampler = NeighborSampler(store, [5])
-    model = build_model("gcn", store.feature_dim, store.num_classes, rng,
-                        hidden=8, num_layers=1)
-    run_iteration(store, sampler, model, store.train_nodes[:8], 0, rng)
-    assert all(p.grad is None for p in model.parameters())
 
 
 def test_trainer_loss_decreases(small_dataset):
@@ -99,9 +69,12 @@ def test_trainer_charges_all_ranks_symmetrically(small_dataset):
     assert max(times) - min(times) < 1e-9
 
 
-def test_trainer_layer_cost_factor_scales_train_phase(small_dataset):
-    t1 = make_trainer(small_dataset)
-    t3 = make_trainer(small_dataset, layer_cost_factor=3.0)
+@pytest.mark.parametrize("compute_ranks", ["one", "all"])
+def test_trainer_layer_cost_factor_scales_train_phase(small_dataset,
+                                                      compute_ranks):
+    t1 = make_trainer(small_dataset, compute_ranks=compute_ranks)
+    t3 = make_trainer(small_dataset, layer_cost_factor=3.0,
+                      compute_ranks=compute_ranks)
     s1 = t1.train_epoch(max_iterations=2)
     s3 = t3.train_epoch(max_iterations=2)
     assert s3.times.train == pytest.approx(3 * s1.times.train, rel=0.05)
@@ -113,47 +86,67 @@ def test_trainer_rejects_bad_mode(small_dataset):
         make_trainer(small_dataset, compute_ranks="some")
 
 
+def _ddp_trainer(dataset, **kw):
+    return make_trainer(dataset, compute_ranks="all", fanouts=[4],
+                        num_layers=1, batch_size=64, **kw)
+
+
 def test_ddp_mode_keeps_replicas_in_sync(small_dataset):
-    tr = make_trainer(small_dataset, compute_ranks="all", fanouts=[4],
-                      num_layers=1, batch_size=64)
+    tr = _ddp_trainer(small_dataset)
     tr.train_epoch(max_iterations=2)
-    tr.ddp.assert_in_sync()
+    tr.plan.assert_in_sync()
 
 
-def test_ddp_gradient_averaging(rng):
-    """All-reduced gradients equal the mean of per-replica gradients."""
-    node = SimNode()
-    comm = Communicator(node)
-    replicas = [
-        build_model("gcn", 4, 2, np.random.default_rng(r), hidden=4,
-                    num_layers=1)
-        for r in range(8)
-    ]
-    ddp = DistributedDataParallel(replicas, comm)
-    grads = []
-    for r, m in enumerate(replicas):
-        for p in m.parameters():
+def test_ddp_epoch_rows_hold_their_own_epoch(small_dataset):
+    """Each true-DDP epoch row holds rank 0's phase seconds of that epoch
+    only, not the run's running total."""
+    tr = _ddp_trainer(small_dataset)
+    dev0 = tr.node.gpu_clock[0].device
+    phases = ("sample", "gather", "train")
+
+    def totals():
+        return [tr.node.timeline.phase_total(p, dev0) for p in phases]
+
+    before = totals()
+    for _ in range(3):
+        stats = tr.train_epoch(max_iterations=2)
+        now = totals()
+        row = [getattr(stats.times, p) for p in phases]
+        assert all(seconds > 0 for seconds in row)
+        assert row == pytest.approx(
+            [b - a for a, b in zip(before, now)], rel=1e-12
+        )
+        assert stats.times.total <= stats.epoch_time
+        assert stats.mean_loss > 0
+        before = now
+
+
+def test_ddp_gradient_averaging(small_dataset):
+    """The plan's average gives every rank replica the mean gradient."""
+    tr = _ddp_trainer(small_dataset)
+    replicas = tr.plan.replicas
+    assert len(replicas) == tr.node.num_gpus
+    for r, replica in enumerate(replicas):
+        for p in replica.model.parameters():
             p.grad = np.full_like(p.data, float(r))
-        grads.append(float(r))
-    ddp.sync_gradients()
-    expected = np.mean(grads)
-    for m in replicas:
-        for p in m.parameters():
-            assert np.allclose(p.grad, expected)
+    tr.plan.sync_gradients([(replica, 0.0) for replica in replicas])
+    expected = np.mean(np.arange(len(replicas)))
+    for replica in replicas:
+        for p in replica.model.parameters():
+            assert np.array_equal(p.grad, np.full_like(p.data, expected))
 
 
-def test_ddp_broadcasts_initial_weights(rng):
-    node = SimNode()
-    replicas = [
-        build_model("gcn", 4, 2, np.random.default_rng(r), hidden=4,
-                    num_layers=1)
-        for r in range(8)
+def test_ddp_broadcasts_initial_weights(small_dataset):
+    """One replica per rank, each its own model, all starting from
+    replica 0's weights."""
+    tr = _ddp_trainer(small_dataset)
+    replicas = tr.plan.replicas
+    assert [r.ranks for r in replicas] == [
+        (rank,) for rank in range(tr.node.num_gpus)
     ]
-    DistributedDataParallel(replicas, Communicator(node))
-    ref = replicas[0].state_dict()
-    for m in replicas[1:]:
-        for a, b in zip(ref, m.state_dict()):
-            assert np.array_equal(a, b)
+    assert replicas[0].model is tr.model
+    assert len({id(r.model) for r in replicas}) == len(replicas)
+    tr.plan.assert_in_sync()
 
 
 def test_charge_allreduce_advances_all_gpus():
