@@ -4,12 +4,17 @@ Unlike the table/figure benches these measure *this implementation's*
 throughput (useful for tracking regressions in the vectorised kernels),
 not the simulated DGX times.  The sampler cases include the shapes the
 training workloads run: degrees just above the fan-out (every sampled row
-collides) and a neighbor stream far longer than its ID range.  CI runs the
-file with ``--benchmark-disable`` (each case once) so it cannot rot.
+collides) and a neighbor stream far longer than its ID range.  The DSM
+row-access and row-grad dedup cases run the ``recsys-linkpred`` shapes.
+CI runs the file with ``--benchmark-disable`` (each case once) so it
+cannot rot.
 """
 
 import numpy as np
 
+from repro.dsm.sparse_embedding import dedup_row_grads
+from repro.dsm.whole_tensor import WholeTensor
+from repro.hardware import SimNode
 from repro.ops.append_unique import append_unique
 from repro.ops.sampling import batch_sample_without_replacement
 from repro.ops.segment import scatter_add_rows, segment_sum
@@ -78,3 +83,39 @@ def test_bench_gspmm_backward(benchmark):
     indices = RNG.integers(0, 60_000, size=int(indptr[-1]))
     g = RNG.standard_normal((20_000, 128)).astype(np.float32)
     benchmark(gspmm_backward_features, indptr, indices, g, 60_000)
+
+
+# -- DSM row access at the recsys-linkpred shapes: a 110k x 64 cyclic
+# embedding table (100k users + 10k items), 106k rows touched per step ------
+
+RECSYS_ROWS, RECSYS_DIM, RECSYS_TOUCHED = 110_000, 64, 106_000
+
+
+def _recsys_table(rng):
+    table = WholeTensor(SimNode(), RECSYS_ROWS, RECSYS_DIM,
+                        charge_setup=False, partition="cyclic")
+    table.load_from_host(
+        rng.standard_normal((RECSYS_ROWS, RECSYS_DIM)).astype(np.float32)
+    )
+    rows = np.sort(rng.choice(RECSYS_ROWS, RECSYS_TOUCHED, replace=False))
+    return table, rows
+
+
+def test_bench_whole_tensor_gather_no_cost(benchmark):
+    table, rows = _recsys_table(np.random.default_rng(1))
+    benchmark(table.gather_no_cost, rows)
+
+
+def test_bench_whole_tensor_scatter_no_cost(benchmark):
+    rng = np.random.default_rng(2)
+    table, rows = _recsys_table(rng)
+    values = rng.standard_normal((rows.size, RECSYS_DIM)).astype(np.float32)
+    benchmark(table.scatter_no_cost, rows, values)
+
+
+def test_bench_dedup_row_grads(benchmark):
+    # one step's raw row grads, with repeated IDs
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, RECSYS_ROWS, size=RECSYS_TOUCHED)
+    grads = rng.standard_normal((rows.size, RECSYS_DIM)).astype(np.float32)
+    benchmark(dedup_row_grads, rows, grads)

@@ -186,7 +186,7 @@ class FeatureCache:
         rows = tensor._check_rows(rows)
         st = self._ranks[rank]
         out = np.empty((rows.size, tensor.num_cols), dtype=tensor.dtype)
-        owners, local = tensor._owners_and_local(rows)
+        owners = tensor.rank_of_row(rows)
 
         slots = st.slot_of[rows] if rows.size else np.empty(0, dtype=np.int64)
         hit = slots >= 0
@@ -195,10 +195,7 @@ class FeatureCache:
             out[hit] = st.data[slots[hit]]
         miss = ~hit
         if num_hits < rows.size:
-            for r in range(self.node.num_gpus):
-                m = miss & (owners == r)
-                if np.any(m):
-                    out[m] = tensor._parts[r][local[m]]
+            out[miss] = tensor._read(rows[miss])
 
         # -- cost: hits + locally-owned misses stream from HBM, remote misses
         # ride the NVLink random-read curve; both streams overlap in-kernel

@@ -6,16 +6,20 @@ into a locally-usable device pointer.  Here the "device pointer" is the
 backing NumPy buffer of the exporting rank's partition; *opening* a handle
 checks the protocol invariants the real API enforces (a process must not open
 its own handle; a handle must refer to a live allocation).
+
+The registry holds buffers weakly: an allocation dropped without a close is
+collected like any array, and its handle then fails to open like a closed one.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-_registry: dict[int, np.ndarray] = {}
+_registry: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _token_counter = itertools.count(1)
 
 

@@ -16,9 +16,9 @@ Three coupled pieces:
   pullback records the incoming row gradients;
 - **backward** — row gradients accumulate in a pending list (duplicated
   rows and multiple forwards per step are allowed);
-  :func:`dedup_row_grads` scatter-adds them into one gradient per unique
-  row, bit-identically to summing each row's contributions in occurrence
-  order;
+  :func:`dedup_row_grads` sums them into one gradient per unique row with
+  one CSR g-SpMM, bit-identically to summing each row's contributions in
+  occurrence order;
 - **update push** — :meth:`push_row_grads` charges the cost of shipping the
   deduplicated row gradients to their owner shards: hash-table dedup
   (AppendUnique regime), scatter-add with atomic-collision pricing, and the
@@ -40,6 +40,7 @@ from repro.dsm.whole_tensor import WholeTensor
 from repro.hardware import costmodel
 from repro.hardware.machine import SimNode
 from repro.nn.tensor import Tensor
+from repro.ops.spmm import gspmm_sum
 from repro.telemetry import metrics
 
 
@@ -50,18 +51,21 @@ def dedup_row_grads(
 
     Returns ``(unique_rows, summed_grads, counts)`` where ``summed_grads[i]``
     is the float32 sum of every ``grads[j]`` with ``rows[j] ==
-    unique_rows[i]``, accumulated in occurrence order — bit-identical to
-    summing each row's contributions sequentially (``np.add.at`` is the
-    unbuffered in-order scatter-add).
+    unique_rows[i]``, added one by one from +0.0 in occurrence order: each
+    row's occurrences, in order, form its CSR row of unit weights, and
+    SciPy's g-SpMM adds ``1.0 * grads[j]`` into a zeroed row in that order
+    — ``np.add.at``'s exact sequence, so bit-identical to it, signed zeros
+    included (``test_dedup_row_grads_matches_sequential_sum``).
     """
     rows = np.asarray(rows, dtype=np.int64)
     grads = np.asarray(grads, dtype=np.float32)
     uniq, inverse, counts = np.unique(
         rows, return_inverse=True, return_counts=True
     )
-    summed = np.zeros((uniq.size, grads.shape[1]), dtype=np.float32)
-    np.add.at(summed, inverse, grads)
-    return uniq, summed, counts
+    # distinct (rank, position) keys: the fast unstable argsort is stable
+    order = np.argsort(inverse * rows.size + np.arange(rows.size))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return uniq, gspmm_sum(indptr, order, grads), counts
 
 
 class WholeEmbedding:

@@ -88,6 +88,7 @@ class WholeMemory:
             handles.append(ipc_get_mem_handle(rank, buf))
         self._handles = handles
         self.materialized = False
+        self.storage: np.ndarray | None = None  # set by materialize()
 
         # Step 2: AllGather of handles — after this every rank holds the
         # full handle list (simulated synchronously).
@@ -115,13 +116,18 @@ class WholeMemory:
     def materialize(self) -> None:
         """Back every partition with zeroed host bytes (idempotent).
 
-        The IPC handles and pointer tables are re-pointed in place, so
-        peers keep their mappings and nothing is charged.
+        The partitions become consecutive views of one contiguous host
+        buffer, :attr:`storage`, in rank order, so a global access can
+        compute one flat offset per request and index once.  The IPC
+        handles and pointer tables are re-pointed at the per-rank views in
+        place, so peers keep their mappings and nothing is charged.
         """
         if self.materialized:
             return
-        for rank, size in enumerate(self.partition_sizes):
-            buf = np.zeros(size, dtype=np.uint8)
+        self.storage = np.zeros(self.total_bytes, dtype=np.uint8)
+        bounds = np.cumsum([0, *self.partition_sizes])
+        for rank in range(len(self.partition_sizes)):
+            buf = self.storage[bounds[rank]:bounds[rank + 1]]
             ipc_remap_mem_handle(self._handles[rank], buf)
             self.buffers[rank] = buf
             for table in self.pointer_tables:
@@ -145,4 +151,5 @@ class WholeMemory:
             self.node.gpu_memory[rank].free(alloc)
             ipc_close_mem_handle(self._handles[rank])
         self.buffers = []
+        self.storage = None
         self._freed = True

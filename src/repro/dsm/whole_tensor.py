@@ -7,8 +7,11 @@ gather of paper §III-C3 (right side of Fig. 4).
 
 Two coupled behaviours:
 
-- **functional**: ``gather``/``scatter`` really move the data (NumPy fancy
-  indexing over the partition buffers);
+- **functional**: ``gather``/``scatter`` really move the data.  The
+  partitions are consecutive views of one rank-major host buffer
+  (:attr:`WholeMemory.storage`), so an access maps each requested row to
+  its flat slot once and makes one NumPy index, like the one kernel that
+  reads the DSM pointer table;
 - **performance**: every access charges the calling GPU's clock using the
   Fig. 8 segment-size bandwidth curve, with the remote fraction computed
   from the actual owner distribution of the requested rows.
@@ -77,21 +80,24 @@ class WholeTensor:
                 "rows_per_rank must have one entry per GPU and sum to num_rows"
             )
         self.rows_per_rank = [int(r) for r in rows_per_rank]
+        self.row_offsets = np.concatenate(
+            ([0], np.cumsum(self.rows_per_rank))
+        ).astype(np.int64)
         partition_bytes = [r * self.row_bytes for r in self.rows_per_rank]
         if materialize:
             self.memory = WholeMemory(
                 node, partition_bytes, tag=tag, charge_setup=charge_setup
             )
             self.memory.materialize()
-            self._parts = [
-                buf.view(self.dtype).reshape(rows, self.num_cols)
-                for buf, rows in zip(self.memory.buffers, self.rows_per_rank)
-            ]
+            #: every row in rank-major order: rank 0's rows, then rank 1's
+            self._flat = self.memory.storage.view(self.dtype).reshape(
+                self.num_rows, self.num_cols
+            )
         else:
             # accounting-only: reserve device memory and charge setup, but
             # keep no host-side data.
             self.memory = None
-            self._parts = None
+            self._flat = None
             self._allocations = [
                 node.gpu_memory[r].allocate(partition_bytes[r], tag=tag)
                 for r in range(node.num_gpus)
@@ -102,9 +108,6 @@ class WholeTensor:
                     clock.advance(t, phase="dsm_setup")
                 node.sync()
 
-        self.row_offsets = np.concatenate(
-            ([0], np.cumsum(self.rows_per_rank))
-        ).astype(np.int64)
         #: cumulative access statistics (read by telemetry)
         self.stats = {
             "gather_calls": 0,
@@ -126,22 +129,49 @@ class WholeTensor:
 
     def rank_of_row(self, rows) -> np.ndarray:
         """Owning rank of each (global) row index."""
-        return self._owners_and_local(np.asarray(rows, dtype=np.int64))[0]
+        rows = np.asarray(rows, dtype=np.int64)
+        if self.partition == "cyclic":
+            return rows % self.node.num_gpus
+        return (
+            np.searchsorted(self.row_offsets, rows, side="right") - 1
+        ).astype(np.int64)
 
     def _owners_and_local(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map global rows to ``(owner rank, local index)`` per layout."""
+        owners = self.rank_of_row(rows)
         if self.partition == "cyclic":
-            n = self.node.num_gpus
-            return rows % n, rows // n
-        owners = (
-            np.searchsorted(self.row_offsets, rows, side="right") - 1
-        ).astype(np.int64)
+            return owners, rows // self.node.num_gpus
         return owners, rows - self.row_offsets[owners]
+
+    def _slots(self, rows: np.ndarray) -> np.ndarray:
+        """Rank-major flat slot of each global row: the row itself if block,
+        ``row_offsets[row % N] + row // N`` if cyclic."""
+        if self.partition == "block":
+            return rows
+        n = self.node.num_gpus
+        return self.row_offsets[rows % n] + rows // n
+
+    def _read(self, rows: np.ndarray) -> np.ndarray:
+        """Copy out checked ``rows`` with one index over the flat buffer."""
+        # the slots of checked rows are in range, so "clip" clips nothing;
+        # it only spares the bounds pass and buffered copy of "raise"
+        return np.take(self._flat, self._slots(rows), axis=0, mode="clip")
+
+    def _write(self, rows: np.ndarray, values) -> None:
+        """Store ``values`` at checked ``rows`` (a repeated row keeps the last)."""
+        self._flat[self._slots(rows)] = np.asarray(
+            values, dtype=self.dtype
+        ).reshape(rows.size, self.num_cols)
+
+    def _remote_fraction(self, rows: np.ndarray, rank: int) -> float:
+        """Share of ``rows`` another rank owns (the NVLink share)."""
+        remote = np.count_nonzero(self.rank_of_row(rows) != rank)
+        return float(remote) / max(rows.size, 1)
 
     def local_part(self, rank: int) -> np.ndarray:
         """The rows resident on ``rank`` (a view, not a copy)."""
         self._require_data()
-        return self._parts[rank]
+        return self._flat[self.row_offsets[rank]:self.row_offsets[rank + 1]]
 
     def _require_data(self) -> None:
         if not self.materialized:
@@ -177,7 +207,7 @@ class WholeTensor:
             else:
                 lo, hi = self.row_offsets[rank], self.row_offsets[rank + 1]
                 part = array[lo:hi]
-            self._parts[rank][:] = part
+            self.local_part(rank)[:] = part
             t = costmodel.pcie_host_to_gpu_time(
                 part.shape[0] * self.row_bytes, shared=True
             )
@@ -192,9 +222,7 @@ class WholeTensor:
 
     # -- the shared-memory global gather (one kernel) -------------------------
 
-    def gather(
-        self, rows, rank: int, phase: str = "gather", out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def gather(self, rows, rank: int, phase: str = "gather") -> np.ndarray:
         """Gather ``rows`` into ``rank``'s memory in one kernel.
 
         The underlying NVLink/NVSwitch handles all communication without
@@ -203,16 +231,10 @@ class WholeTensor:
         """
         self._require_data()
         rows = self._check_rows(rows)
-        owners, local_rows = self._owners_and_local(rows)
-        if out is None:
-            out = np.empty((rows.size, self.num_cols), dtype=self.dtype)
-        for r in range(self.node.num_gpus):
-            mask = owners == r
-            if np.any(mask):
-                out[mask] = self._parts[r][local_rows[mask]]
+        out = self._read(rows)
 
         total_bytes = rows.size * self.row_bytes
-        remote = float(np.count_nonzero(owners != rank)) / max(rows.size, 1)
+        remote = self._remote_fraction(rows, rank)
         remote_bytes = int(round(total_bytes * remote))
         t = costmodel.gather_time(
             total_bytes,
@@ -261,27 +283,12 @@ class WholeTensor:
     def gather_no_cost(self, rows) -> np.ndarray:
         """Functional gather without clock charging (evaluation paths)."""
         self._require_data()
-        rows = self._check_rows(rows)
-        owners, local_rows = self._owners_and_local(rows)
-        out = np.empty((rows.size, self.num_cols), dtype=self.dtype)
-        for r in range(self.node.num_gpus):
-            mask = owners == r
-            if np.any(mask):
-                out[mask] = self._parts[r][local_rows[mask]]
-        return out
+        return self._read(self._check_rows(rows))
 
     def scatter_no_cost(self, rows, values: np.ndarray) -> None:
         """Functional scatter without clock charging (restore/update paths)."""
         self._require_data()
-        rows = self._check_rows(rows)
-        values = np.asarray(values, dtype=self.dtype).reshape(
-            rows.size, self.num_cols
-        )
-        owners, local_rows = self._owners_and_local(rows)
-        for r in range(self.node.num_gpus):
-            mask = owners == r
-            if np.any(mask):
-                self._parts[r][local_rows[mask]] = values[mask]
+        self._write(self._check_rows(rows), values)
 
     def scatter(
         self, rows, values: np.ndarray, rank: int, phase: str = "scatter"
@@ -289,15 +296,8 @@ class WholeTensor:
         """Write ``values`` to ``rows`` from ``rank`` (single store kernel)."""
         self._require_data()
         rows = self._check_rows(rows)
-        values = np.asarray(values, dtype=self.dtype).reshape(
-            rows.size, self.num_cols
-        )
-        owners, local_rows = self._owners_and_local(rows)
-        for r in range(self.node.num_gpus):
-            mask = owners == r
-            if np.any(mask):
-                self._parts[r][local_rows[mask]] = values[mask]
-        remote = float(np.count_nonzero(owners != rank)) / max(rows.size, 1)
+        self._write(rows, values)
+        remote = self._remote_fraction(rows, rank)
         total_bytes = rows.size * self.row_bytes
         t = costmodel.gather_time(
             total_bytes,
@@ -318,7 +318,7 @@ class WholeTensor:
         """Release device memory."""
         if self.materialized:
             self.memory.free()
-            self._parts = None
+            self._flat = None
         else:
             for rank, alloc in enumerate(self._allocations):
                 self.node.gpu_memory[rank].free(alloc)

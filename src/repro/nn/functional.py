@@ -185,12 +185,11 @@ def spmm_sum(
     indices: np.ndarray,
     x: Tensor,
     edge_weights: Tensor | None = None,
-    duplicate_counts: np.ndarray | None = None,
 ) -> Tensor:
     """Weighted-sum aggregation ``out[t] = Σ_{e→t} w_e · x[src_e]``.
 
-    Backward w.r.t. ``x``: g-SpMM on the transposed CSR via atomics with the
-    duplicate-count elision.  Backward w.r.t. ``edge_weights``: g-SDDMM.
+    Backward w.r.t. ``x``: g-SpMM on the transposed CSR.  Backward w.r.t.
+    ``edge_weights``: g-SDDMM.
     """
     w = edge_weights
     out = _spmm.gspmm_sum(
@@ -200,18 +199,13 @@ def spmm_sum(
 
     if w is None:
         def backward(g):
-            gx, _ = _spmm.gspmm_backward_features(
-                indptr, indices, g, num_src,
-                duplicate_counts=duplicate_counts,
-            )
-            return (gx,)
+            return (_spmm.gspmm_backward_features(indptr, indices, g, num_src),)
 
         return Tensor._make(out, (x,), backward)
 
     def backward_w(g):
-        gx, _ = _spmm.gspmm_backward_features(
-            indptr, indices, g, num_src, edge_weights=w.data,
-            duplicate_counts=duplicate_counts,
+        gx = _spmm.gspmm_backward_features(
+            indptr, indices, g, num_src, edge_weights=w.data
         )
         gw = _sddmm.gsddmm_dot(indptr, indices, g, x.data)
         return (gx, gw)
@@ -223,17 +217,15 @@ def spmm_mean(
     indptr: np.ndarray,
     indices: np.ndarray,
     x: Tensor,
-    duplicate_counts: np.ndarray | None = None,
 ) -> Tensor:
     """Mean aggregation (GraphSage)."""
     out = _spmm.gspmm_mean(indptr, indices, x.data)
     num_src = x.data.shape[0]
 
     def backward(g):
-        gx, _ = _spmm.gspmm_mean_backward_features(
-            indptr, indices, g, num_src, duplicate_counts=duplicate_counts
+        return (
+            _spmm.gspmm_mean_backward_features(indptr, indices, g, num_src),
         )
-        return (gx,)
 
     return Tensor._make(out, (x,), backward)
 

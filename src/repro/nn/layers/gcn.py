@@ -34,10 +34,7 @@ class GCNConv(Module):
 
     def forward(self, block: LayerBlock, x: Tensor) -> Tensor:
         """``x`` has ``block.num_src`` rows (targets first)."""
-        neigh_sum = F.spmm_sum(
-            block.indptr, block.indices, x,
-            duplicate_counts=block.duplicate_counts,
-        )
+        neigh_sum = F.spmm_sum(block.indptr, block.indices, x)
         x_self = F.slice_rows(x, block.num_targets)
         deg = (block.indptr[1:] - block.indptr[:-1]).astype(np.float32)
         inv = Tensor((1.0 / (deg + 1.0))[:, None])

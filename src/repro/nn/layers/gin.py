@@ -33,10 +33,7 @@ class GINConv(Module):
         self.mlp_out = Linear(out_features, out_features, rng)
 
     def forward(self, block: LayerBlock, x: Tensor) -> Tensor:
-        neigh_sum = F.spmm_sum(
-            block.indptr, block.indices, x,
-            duplicate_counts=block.duplicate_counts,
-        )
+        neigh_sum = F.spmm_sum(block.indptr, block.indices, x)
         x_self = F.slice_rows(x, block.num_targets)
         combined = x_self * (self.eps + 1.0) + neigh_sum
         return self.mlp_out(F.relu(self.mlp_in(combined)))

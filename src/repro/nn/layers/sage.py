@@ -36,10 +36,7 @@ class SAGEConv(Module):
 
     def forward(self, block: LayerBlock, x: Tensor) -> Tensor:
         if self.aggregator == "mean":
-            neigh = F.spmm_mean(
-                block.indptr, block.indices, x,
-                duplicate_counts=block.duplicate_counts,
-            )
+            neigh = F.spmm_mean(block.indptr, block.indices, x)
         else:
             neigh = F.spmm_max(block.indptr, block.indices, x)
         x_self = F.slice_rows(x, block.num_targets)

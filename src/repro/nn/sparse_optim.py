@@ -22,8 +22,8 @@ bit-identical to a dense optimizer stepping a one-row parameter on that
 row's touch subsequence (``tests/test_sparse_embedding.py`` pins this).
 
 Cluster training averages row gradients across replicas with
-:func:`average_row_grads` under the same float64-accumulate contract as the
-dense DDP flat buffers.
+:func:`average_row_grads` under the float64-accumulate contract of the
+dense :func:`~repro.train.grad_sync.average_gradients`.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ def average_row_grads(
 
     ``collected[i][j]`` holds replica ``i``'s :class:`RowGrads` for
     embedding ``j``.  For each embedding the union of touched rows is
-    reduced with the float64-accumulate contract of the dense DDP flat
-    buffers: contributions are summed in float64 in replica order, divided
-    by the replica count, and cast back to float32.  Rows a replica never
-    touched contribute zero.
+    reduced with the contract of the dense gradient average
+    (:func:`~repro.train.grad_sync.average_gradients`): contributions are
+    summed in float64 in replica order, divided by the replica count, and
+    cast back to float32.  Rows a replica never touched contribute zero.
     """
     if not collected:
         return []
@@ -273,11 +273,22 @@ class SparseAdam(SparseOptimizer):
         g = grads
         if self.weight_decay:
             g = g + self.weight_decay * p
+        # in place on the gathered copies: the same float32 ops in order
+        scratch = np.multiply(g, 1 - self.beta1)
         m *= self.beta1
-        m += (1 - self.beta1) * g
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1 - self.beta2
         v *= self.beta2
-        v += (1 - self.beta2) * (g * g)
-        p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        v += scratch
         self._m[index].scatter_no_cost(rows, m)
         self._v[index].scatter_no_cost(rows, v)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        m /= bc1
+        m *= self.lr
+        v /= bc2
+        np.sqrt(v, out=v)
+        v += self.eps
+        m /= v
+        p -= m
         emb.write_rows(rows, p)

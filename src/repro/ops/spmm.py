@@ -102,19 +102,16 @@ def gspmm_backward_features(
     grad_out: np.ndarray,
     num_src: int,
     edge_weights=None,
-    duplicate_counts=None,
-) -> tuple[np.ndarray, dict]:
+) -> np.ndarray:
     """Gradient of :func:`gspmm_sum` w.r.t. the dense input features.
 
     Mathematically g-SpMM on the transposed CSR; executed as a scatter into
-    source rows (``A^T g``), with :func:`atomic_elision_stats` reporting how
-    many scatters the duplicate-count optimisation turns into plain stores.
+    source rows (``A^T g``).  How many of those scatters the duplicate-count
+    optimisation turns into plain stores is :func:`atomic_elision_stats`.
     """
     grad_out = np.asarray(grad_out, dtype=np.float32)
     adj = _csr_matrix(csr_indptr, csr_indices, num_src, edge_weights)
-    grad_features = np.asarray(adj.T @ grad_out)
-    stats = atomic_elision_stats(csr_indices, duplicate_counts)
-    return grad_features, stats
+    return np.asarray(adj.T @ grad_out)
 
 
 def reference_gspmm_backward_features(
@@ -161,13 +158,9 @@ def gspmm_mean_backward_features(
     csr_indices,
     grad_out: np.ndarray,
     num_src: int,
-    duplicate_counts=None,
-) -> tuple[np.ndarray, dict]:
+) -> np.ndarray:
     """Backward of :func:`gspmm_mean` w.r.t. input features."""
     indptr = np.asarray(csr_indptr, dtype=np.int64)
     deg = np.maximum(np.diff(indptr), 1).astype(np.float32)
     scaled = np.asarray(grad_out, dtype=np.float32) / deg[:, None]
-    return gspmm_backward_features(
-        indptr, csr_indices, scaled, num_src,
-        duplicate_counts=duplicate_counts,
-    )
+    return gspmm_backward_features(indptr, csr_indices, scaled, num_src)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dsm.whole_tensor import WholeTensor
-from repro.hardware import SimNode
+from repro.hardware import SimNode, dgx_a100
 
 
 @pytest.fixture
@@ -25,14 +25,83 @@ def test_gather_equals_fancy_indexing(loaded):
     assert np.array_equal(out, host[rows])
 
 
-@given(st.lists(st.integers(min_value=0, max_value=499), max_size=64))
-def test_gather_property_any_rows(rows):
-    node = SimNode()
-    t = WholeTensor(node, 500, 3, tag="f", charge_setup=False)
-    host = np.random.default_rng(0).standard_normal((500, 3)).astype(np.float32)
+# -- the per-rank masked loop every row access used before the rank-major
+# flat index; kept verbatim as the reference the flat index must match ------
+
+
+def _masked_loop_gather(t, rows):
+    owners, local_rows = t._owners_and_local(rows)
+    out = np.empty((rows.size, t.num_cols), dtype=t.dtype)
+    for r in range(t.node.num_gpus):
+        mask = owners == r
+        if np.any(mask):
+            out[mask] = t.local_part(r)[local_rows[mask]]
+    return out
+
+
+def _masked_loop_scatter(t, parts, rows, values):
+    owners, local_rows = t._owners_and_local(rows)
+    for r in range(t.node.num_gpus):
+        mask = owners == r
+        if np.any(mask):
+            parts[r][local_rows[mask]] = values[mask]
+
+
+@st.composite
+def layouts(draw):
+    """A loaded WholeTensor on 1, 3 or 8 GPUs, block (with uneven, possibly
+    empty ranks) or cyclic, plus its host copy and a drawn seed."""
+    num_gpus = draw(st.sampled_from([1, 3, 8]))
+    partition = draw(st.sampled_from(["block", "cyclic"]))
+    num_rows = draw(st.integers(min_value=1, max_value=60))
+    rows_per_rank = None
+    if partition == "block":
+        cuts = sorted(draw(st.lists(
+            st.integers(min_value=0, max_value=num_rows),
+            min_size=num_gpus - 1, max_size=num_gpus - 1,
+        )))
+        rows_per_rank = np.diff([0, *cuts, num_rows]).tolist()
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    t = WholeTensor(SimNode(dgx_a100(num_gpus)), num_rows, 3, tag="f",
+                    charge_setup=False, rows_per_rank=rows_per_rank,
+                    partition=partition)
+    host = np.random.default_rng(seed).standard_normal(
+        (num_rows, 3)
+    ).astype(np.float32)
     t.load_from_host(host)
-    rows = np.array(rows, dtype=np.int64)
-    assert np.array_equal(t.gather(rows, 0), host[rows])
+    rows = np.array(draw(st.lists(
+        st.integers(min_value=0, max_value=num_rows - 1), max_size=64
+    )), dtype=np.int64)
+    return t, host, rows, seed
+
+
+@given(layouts())
+def test_gather_property_any_rows(layout):
+    t, host, rows, _ = layout
+    for rank in {0, t.node.num_gpus - 1}:
+        out = t.gather(rows, rank)
+        assert np.array_equal(out, host[rows])
+        assert np.array_equal(out, _masked_loop_gather(t, rows))
+    assert np.array_equal(t.gather_no_cost(rows), host[rows])
+
+
+@given(layouts())
+def test_scatter_property_duplicate_rows(layout):
+    """``scatter`` and ``scatter_no_cost`` store exactly what the per-rank
+    masked loop stores, duplicated rows included (the last value wins)."""
+    t, host, rows, seed = layout
+    rows = np.concatenate([rows, rows[::2]])
+    values = np.random.default_rng(seed + 1).standard_normal(
+        (rows.size, 3)
+    ).astype(np.float32)
+    parts = [t.local_part(r).copy() for r in range(t.node.num_gpus)]
+    _masked_loop_scatter(t, parts, rows, values)
+    for write in (t.scatter_no_cost,
+                  lambda r, v: t.scatter(r, v, rank=t.node.num_gpus - 1)):
+        t.load_from_host(host)
+        write(rows, values)
+        for r in range(t.node.num_gpus):
+            assert np.array_equal(t.local_part(r), parts[r])
 
 
 def test_gather_charges_requesting_rank_only(loaded):

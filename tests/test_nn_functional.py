@@ -115,16 +115,6 @@ def test_spmm_mean_grad(csr, x):
     )
 
 
-def test_spmm_dup_counts_do_not_change_grad(csr, x):
-    indptr, indices = csr
-    dup = np.bincount(indices, minlength=5)
-    a = Tensor(x, requires_grad=True)
-    (F.spmm_sum(indptr, indices, a) ** 2.0).sum().backward()
-    b = Tensor(x, requires_grad=True)
-    (F.spmm_sum(indptr, indices, b, duplicate_counts=dup) ** 2.0).sum().backward()
-    assert np.allclose(a.grad, b.grad, atol=1e-5)
-
-
 def test_edge_softmax_grad(csr, rng):
     indptr, indices = csr
     logits = rng.standard_normal((5, 2)).astype(np.float32)

@@ -125,7 +125,7 @@ def test_scipy_and_reference_kernels_agree(seed):
         atol=1e-4,
     )
     g = rng.standard_normal((6, 5)).astype(np.float32)
-    fast, _ = gspmm_backward_features(indptr, indices, g, 9, edge_weights=w)
+    fast = gspmm_backward_features(indptr, indices, g, 9, edge_weights=w)
     ref, _ = reference_gspmm_backward_features(
         indptr, indices, g, 9, edge_weights=w
     )
@@ -140,7 +140,7 @@ def test_backward_is_transpose_spmm():
     dense = np.zeros((6, 9), dtype=np.float32)
     for r in range(6):
         dense[r, indices[indptr[r]:indptr[r + 1]]] = 1.0
-    out, _ = gspmm_backward_features(indptr, indices, g, 9)
+    out = gspmm_backward_features(indptr, indices, g, 9)
     assert np.allclose(out, dense.T @ g, atol=1e-4)
 
 

@@ -263,30 +263,41 @@ def test_row_shard_routing_is_partition(data):
 
 
 duplicated_grads = st.tuples(
+    # unsorted IDs, duplicated, offset up to 2**40 (past int32)
     st.lists(st.integers(min_value=0, max_value=15), min_size=1,
              max_size=60),
+    st.sampled_from([0, 2**31 - 8, 2**40]),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=0, max_value=2**31),
+    # share of grad entries replaced by +0.0 or -0.0
+    st.sampled_from([0.0, 0.5, 1.0]),
 )
 
 
 @given(duplicated_grads)
 def test_dedup_row_grads_matches_sequential_sum(data):
     """``dedup_row_grads`` scatter-adds duplicates bit-identically to
-    summing each row's contributions one by one, in occurrence order."""
+    summing each row's contributions one by one from +0.0, in occurrence
+    order, and to the literal ``np.add.at`` scatter-add — compared as bits,
+    so a -0.0 where the sequential sum gives +0.0 fails."""
     from repro.dsm.sparse_embedding import dedup_row_grads
 
-    row_list, dim, seed = data
-    rows = np.array(row_list, dtype=np.int64)
-    grads = np.random.default_rng(seed).standard_normal(
-        (rows.size, dim)
-    ).astype(np.float32)
+    row_list, offset, dim, seed, zero_share = data
+    rows = np.array(row_list, dtype=np.int64) + offset
+    rng = np.random.default_rng(seed)
+    grads = rng.standard_normal((rows.size, dim)).astype(np.float32)
+    zero = rng.random(grads.shape) < zero_share
+    grads[zero] = np.where(rng.random(grads.shape) < 0.5, -0.0, 0.0)[zero]
     uniq, summed, counts = dedup_row_grads(rows, grads)
     assert np.array_equal(uniq, np.unique(rows))
     assert int(counts.sum()) == rows.size
+    inverse = np.searchsorted(uniq, rows)
+    add_at = np.zeros((uniq.size, dim), dtype=np.float32)
+    np.add.at(add_at, inverse, grads)
+    assert np.array_equal(summed.view(np.uint32), add_at.view(np.uint32))
     for i, r in enumerate(uniq):
         acc = np.zeros(dim, dtype=np.float32)
         for j in np.flatnonzero(rows == r):
             acc = acc + grads[j]  # float32 adds, occurrence order
-        assert np.array_equal(summed[i], acc)
+        assert np.array_equal(summed[i].view(np.uint32), acc.view(np.uint32))
         assert counts[i] == int((rows == r).sum())
