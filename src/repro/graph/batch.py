@@ -40,12 +40,6 @@ class BatchedGraphs:
     def num_nodes(self) -> int:
         return self.csr.num_nodes
 
-    def nodes_of(self, graph: int) -> np.ndarray:
-        """Concatenated-space node IDs of one member graph."""
-        return np.arange(
-            self.graph_offsets[graph], self.graph_offsets[graph + 1]
-        )
-
     def full_graph_block(self) -> LayerBlock:
         """The batch as a full-graph message-passing block.
 

@@ -17,21 +17,16 @@ The three pieces the paper describes:
   plain store (the cost model rewards this; :func:`atomic_elision_stats`
   reports the split).
 
-Two interchangeable kernels:
-
-- the *reference* kernels (``reference_*``) are literal data-parallel
-  transcriptions (edge-message materialisation + segment reduce, and an
-  atomic-add scatter) used by the equivalence tests;
-- the default entry points route through ``scipy.sparse`` CSR matmul, the
-  fast compiled path, and are verified against the reference kernels.
+Every entry point routes through ``scipy.sparse`` CSR matmul.  The tests
+check them against literal data-parallel transcriptions (edge-message
+materialisation + segment reduce, and an atomic-add scatter) kept in
+``tests/spmm_reference.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-
-from repro.ops.segment import segment_mean, segment_sum
 
 
 def _csr_matrix(indptr, indices, num_src: int, data=None) -> sp.csr_matrix:
@@ -65,33 +60,6 @@ def gspmm_mean(csr_indptr, csr_indices, features, edge_weights=None) -> np.ndarr
     return out
 
 
-def reference_gspmm_sum(csr_indptr, csr_indices, features,
-                        edge_weights=None) -> np.ndarray:
-    """Edge-materialising reference: gather messages, segment-reduce."""
-    msg = _edge_messages(
-        np.asarray(csr_indices, np.int64), np.asarray(features), edge_weights
-    )
-    return segment_sum(msg, csr_indptr)
-
-
-def reference_gspmm_mean(csr_indptr, csr_indices, features,
-                         edge_weights=None) -> np.ndarray:
-    """Reference mean aggregation."""
-    msg = _edge_messages(
-        np.asarray(csr_indices, np.int64), np.asarray(features), edge_weights
-    )
-    return segment_mean(msg, csr_indptr)
-
-
-def _edge_messages(
-    csr_indices: np.ndarray, features: np.ndarray, edge_weights
-) -> np.ndarray:
-    msg = features[csr_indices]
-    if edge_weights is not None:
-        msg = msg * np.asarray(edge_weights, dtype=features.dtype)[:, None]
-    return msg
-
-
 # ---------------------------------------------------------------------------
 # Backward w.r.t. dense features
 # ---------------------------------------------------------------------------
@@ -112,33 +80,6 @@ def gspmm_backward_features(
     grad_out = np.asarray(grad_out, dtype=np.float32)
     adj = _csr_matrix(csr_indptr, csr_indices, num_src, edge_weights)
     return np.asarray(adj.T @ grad_out)
-
-
-def reference_gspmm_backward_features(
-    csr_indptr,
-    csr_indices,
-    grad_out: np.ndarray,
-    num_src: int,
-    edge_weights=None,
-    duplicate_counts=None,
-) -> tuple[np.ndarray, dict]:
-    """Literal scatter implementation: plain store for duplicate-count-1
-    rows, atomic add (``np.add.at``) for the rest."""
-    indptr = np.asarray(csr_indptr, dtype=np.int64)
-    indices = np.asarray(csr_indices, dtype=np.int64)
-    grad_out = np.asarray(grad_out)
-    contrib = np.repeat(grad_out, np.diff(indptr), axis=0)
-    if edge_weights is not None:
-        contrib = contrib * np.asarray(edge_weights, dtype=contrib.dtype)[:, None]
-    grad_features = np.zeros((num_src,) + grad_out.shape[1:], dtype=grad_out.dtype)
-    stats = atomic_elision_stats(indices, duplicate_counts)
-    if duplicate_counts is None:
-        np.add.at(grad_features, indices, contrib)
-        return grad_features, stats
-    once = np.asarray(duplicate_counts, dtype=np.int64)[indices] == 1
-    grad_features[indices[once]] = contrib[once]
-    np.add.at(grad_features, indices[~once], contrib[~once])
-    return grad_features, stats
 
 
 def atomic_elision_stats(csr_indices, duplicate_counts) -> dict[str, int]:

@@ -19,6 +19,8 @@ from repro.ops.spmm import (
     gspmm_backward_features,
     gspmm_mean,
     gspmm_sum,
+)
+from tests.spmm_reference import (
     reference_gspmm_backward_features,
     reference_gspmm_mean,
     reference_gspmm_sum,
