@@ -110,6 +110,10 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes
+
     def reshape(self, *shape) -> "Tensor":
         orig = self.data.shape
         out_data = self.data.reshape(*shape)

@@ -11,7 +11,12 @@ steps identically — the Apex-DDP flow the paper describes.
 
 The trainer's own node, store, sampler, model, optimizer and (link
 prediction) embedding are machine node 0's; :meth:`bind` builds machine
-nodes 1..N-1 by re-sharding the store onto fresh nodes.  The plan owns
+nodes 1..N-1 by re-sharding the store onto fresh nodes.  Link prediction is
+*replicated* instead of round-robin: every machine node scores the same
+pair batch with the single-node streams, each round is one iteration, and
+the run is bitwise the single-node one
+(``test_single_node_vs_cluster_bit_identity`` in
+``tests/test_sparse_embedding.py``).  The plan owns
 their replicas, the grad-sync engine over all of them, the round-robin
 epoch and both recovery policies (elastic shrink over the surviving
 machines, or checkpoint restart into every replica).  The replicas stay
@@ -21,6 +26,8 @@ Fig. 13.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro import config
 from repro.faults import RankFailureError
@@ -47,10 +54,10 @@ class ClusterDataParallelPlan(ParallelismPlan):
         """Build machine nodes 1..N-1 and the grad sync over all of them.
 
         Node classification gives machine node *i* its own sampling and
-        dropout streams.  Replicated link prediction gives every machine
-        the single-node streams instead: all machines process the same pair
-        batch, so they consume them identically and stay in lock-step with
-        a single-node run.
+        dropout streams.  A replicated task (link prediction) gives every
+        machine the single-node streams instead: all machines process the
+        same batch, so they consume them identically and stay in lock-step
+        with a single-node run.
         """
         self.trainer = trainer
         t = trainer
@@ -59,24 +66,21 @@ class ClusterDataParallelPlan(ParallelismPlan):
                 "the cluster plan runs the symmetric sequential or "
                 "overlap schedule on every machine node"
             )
-        linkpred = t.task == "linkpred"
+        replicated = t._task.replicated
         replicas = self.replicas  # node 0: the trainer's own
         for i in range(1, self.num_machine_nodes):
             store = t.store.rebuild_on(SimNode(t.node.spec, node_id=i))
             model, optimizer = self._clone_model(i)
-            replica = Replica(
+            embedding, sparse_optimizer = t._task.replica_state(t, store.node)
+            replicas.append(Replica(
                 store, NeighborSampler(store, t.sampler.fanouts),
                 model, optimizer,
-                sample_rng=spawn_rng(t.seed, "rank", 0 if linkpred else i),
+                sample_rng=spawn_rng(t.seed, "rank", 0 if replicated else i),
                 model_rng=t.rngs.named(
-                    "dropout" if linkpred else f"cluster-dropout-{i}"
+                    "dropout" if replicated else f"cluster-dropout-{i}"
                 ),
-            )
-            if linkpred:
-                replica.embedding, replica.sparse_optimizer = (
-                    t._build_embedding(store.node)
-                )
-            replicas.append(replica)
+                embedding=embedding, sparse_optimizer=sparse_optimizer,
+            ))
         self._adopt(replicas)
 
     def _adopt(self, replicas) -> None:
@@ -97,37 +101,46 @@ class ClusterDataParallelPlan(ParallelismPlan):
     # -- epoch loop --------------------------------------------------------
 
     def train_epoch(self, max_iterations):
-        """One epoch; global batches go round-robin over the machine nodes
-        and are processed concurrently (per-node clocks advance in
-        parallel).  ``max_iterations`` counts rounds of one batch per
-        machine node."""
-        batches = self.trainer._epoch_batches()
-        if max_iterations is not None:
-            batches = batches[: max_iterations * self.num_machine_nodes]
-        return self.run_epoch(batches, self._round_robin_steps)
+        """One epoch; every round trains one batch per machine node, and
+        the nodes process them concurrently (per-node clocks advance in
+        parallel).  ``max_iterations`` counts rounds."""
+        t = self.trainer
+        per_round = 1 if t._task.replicated else self.num_machine_nodes
+        count = None if max_iterations is None else max_iterations * per_round
+        return self.run_epoch(
+            t._task.batches(t, count), self._round_robin_steps
+        )
 
     def _round_robin_steps(self, batches, times):
         """Train ``batches`` one per machine node per round; yields each
         round's losses.  Machine node 0's phase seconds go to ``times``.
 
-        A last round with fewer batches than machine nodes trains only the
-        first ones; the others stall at the collective barrier and step
-        with the trained replicas' average gradient.
+        A replicated task trains each batch on every machine node and
+        yields the round's mean loss, one iteration.  Otherwise batches go
+        round-robin: a last round with fewer batches than machine nodes
+        trains only the first ones, and the others stall at the collective
+        barrier and step with the trained replicas' average gradient.
         """
+        t = self.trainer
+        replicated = t._task.replicated
         loaders = [
-            StreamingLoader(r, prefetch_depth=int(self.trainer.overlap))
+            StreamingLoader(r, prefetch_depth=int(t.overlap), task=t._task)
             for r in self.replicas
         ]
         loaders[0].times = times
         k = len(loaders)
-        for start in range(0, len(batches), k):
-            # node i's next round-robin batch prefetches while this one
-            # trains (with overlap on)
-            yield self._train_round(
-                loaders, batches[start : start + k],
-                [iter(batches[start + k + i : start + k + i + 1])
-                 for i in range(k)],
+        if replicated:
+            rounds = [[batch] * k for batch in batches]
+        else:
+            rounds = [batches[s : s + k] for s in range(0, len(batches), k)]
+        for i, todo in enumerate(rounds):
+            # node j's next batch prefetches while this one trains (with
+            # overlap on)
+            ahead = rounds[i + 1] if i + 1 < len(rounds) else []
+            losses = self._train_round(
+                loaders, todo, [iter(ahead[j : j + 1]) for j in range(k)]
             )
+            yield [float(np.mean(losses))] if replicated else losses
 
     # -- fault recovery ----------------------------------------------------
 

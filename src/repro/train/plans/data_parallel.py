@@ -20,8 +20,9 @@ Within the symmetric mode the trainer's schedule knobs select the
 lookahead of the one replica's
 :class:`~repro.train.streaming.StreamingLoader`: sequential (0),
 double-buffered (``overlap=True``, 1) or out-of-core streaming
-(``streaming=True``, ``prefetch_depth``).  Both modes train every step
-through the plans' one replica round
+(``streaming=True``, ``prefetch_depth``).  Both modes, and both tasks
+(link prediction runs sequential and symmetric), train every step through
+the plans' one replica round
 (:meth:`~repro.train.plans.base.ParallelismPlan._train_round`).  Both
 recovery policies (checkpoint restart and elastic shrink) plug in here.
 """
@@ -70,20 +71,20 @@ class DataParallelPlan(ParallelismPlan):
     # -- epoch loop --------------------------------------------------------
 
     def train_epoch(self, max_iterations):
-        """One pass over the training nodes (optionally truncated)."""
-        batches = self.trainer._epoch_batches()
-        if max_iterations is not None:
-            batches = batches[:max_iterations]
-        return self.run_epoch(batches, self._steps)
+        """One pass over the task's batches (optionally truncated)."""
+        t = self.trainer
+        return self.run_epoch(
+            t._task.batches(t, max_iterations), self._steps
+        )
 
-    def _steps(self, batches: list[np.ndarray], times: PhaseTimes):
+    def _steps(self, batches: list, times: PhaseTimes):
         """Train ``batches`` off one loader per replica; yields each step's
         ``[loss]``, the mean of the replicas' losses.
 
         Each global batch splits into one slice per replica: the symmetric
-        replica trains the whole batch, a true-DDP rank its slice (the
-        batch's first seed if its slice is empty).  The lookahead picks the
-        symmetric schedule: 0 is sequential, 1 the double-buffered
+        replica trains the whole batch, a true-DDP rank its slice of the
+        seed nodes (the batch's first seed if its slice is empty).  The
+        lookahead picks the symmetric schedule: 0 is sequential, 1 the double-buffered
         ``overlap`` schedule, ``prefetch_depth`` the out-of-core
         ``streaming`` one; true DDP runs at 0, so only a lone replica ever
         reads ahead in ``batches``.  Replica 0's phase seconds accumulate
@@ -96,7 +97,8 @@ class DataParallelPlan(ParallelismPlan):
         node = t.node
         depth = t.prefetch_depth if t.streaming else int(t.overlap)
         loaders = [
-            StreamingLoader(r, prefetch_depth=depth) for r in self.replicas
+            StreamingLoader(r, prefetch_depth=depth, task=t._task)
+            for r in self.replicas
         ]
         loaders[0].times = times
         pending = iter(batches)
@@ -106,7 +108,7 @@ class DataParallelPlan(ParallelismPlan):
         if in_core:
             node.sync()
         for batch in batches:
-            slices = [
+            slices = [batch] if len(loaders) == 1 else [
                 s if s.size else batch[:1]
                 for s in np.array_split(batch, len(loaders))
             ]

@@ -1,15 +1,23 @@
 """The WholeGraph trainer: epoch loops, evaluation, timing collection.
 
-The trainer owns the task (node classification or link prediction): model
-and optimizer state, RNG streams, checkpoints, evaluation and reporting.
-Its parallelism plan (:mod:`repro.train.plans`) owns the placement —
-single node, N-node cluster, pipeline, CAGNET.  Two execution modes:
+The trainer owns the task, its model and optimizer state, RNG streams,
+checkpoints, evaluation and reporting.  Its parallelism plan
+(:mod:`repro.train.plans`) owns the placement — single node, N-node
+cluster, pipeline, CAGNET.  A task object holds only what differs between
+node classification (:class:`~repro.train.pipeline.NodeClassification`) and
+link prediction (:class:`LinkPrediction`): the epoch's batches and their
+seed rows, a batch's input features, the loss head and the update after the
+dense optimizers step.  Both tasks train through the plans' one
+data-parallel round
+(:meth:`~repro.train.plans.base.ParallelismPlan._train_round`) and
+:func:`~repro.train.streaming.train_step`.  Two execution modes:
 
 - ``compute_ranks="one"`` (default) — SPMD-symmetric simulation: rank 0
   runs the real math and its per-phase durations are charged to the other
   ranks too (all ranks process statistically-identical batches, the
   standard symmetry assumption of data-parallel performance models).  This
-  is the mode the performance experiments run in.
+  is the mode the performance experiments run in, and the only one link
+  prediction runs in.
 - ``compute_ranks="all"`` — true DDP: one model replica per GPU rank, each
   training its slice of the global batch, and the plan's gradient average
   every step (paper §III-D).  Used by the DDP correctness tests and
@@ -21,12 +29,13 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import config
 from repro.dsm.sparse_embedding import WholeEmbedding
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, RankFailure
 from repro.nn import functional as F
 from repro.nn.models import build_model
 from repro.nn.optim import Adam
@@ -37,9 +46,9 @@ from repro.ops.negative_sampling import (
     sample_positive_edges,
 )
 from repro.ops.neighbor_sampler import NeighborSampler
-from repro.telemetry import metrics
 from repro.train.checkpoint import save_checkpoint
 from repro.train.metrics import PhaseTimes, roc_auc
+from repro.train.pipeline import NODE_CLASSIFICATION
 from repro.train.plans.base import resolve_plan
 from repro.utils.rng import RngPool
 
@@ -63,62 +72,139 @@ def sample_link_batch(
     return src, dst, labels
 
 
-@dataclass
-class LinkBatchResult:
-    """Forward outputs of one link-prediction batch."""
+class PairBatch(NamedTuple):
+    """One link-prediction batch: the pairs' endpoints deduplicated into
+    seed rows, each pair's two endpoints as indices into them, and the
+    pairs' 1/0 labels."""
 
-    subgraph: object
-    scores: Tensor
-    loss: Tensor
-    t_sample: float = 0.0
-    t_gather: float = 0.0
+    seeds: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def draw(cls, csr, num_pairs: int, rng: np.random.Generator):
+        """:func:`sample_link_batch`'s pairs, endpoints deduplicated."""
+        src, dst, labels = sample_link_batch(csr, num_pairs, rng)
+        seeds, inverse = np.unique(
+            np.concatenate([src, dst]), return_inverse=True
+        )
+        n = src.shape[0]
+        return cls(seeds, inverse[:n], inverse[n:], labels)
+
+
+class LinkPrediction:
+    """Link prediction: pair batches over a DSM-sharded trainable
+    embedding table, BCE on scaled dot products, then a sparse optimizer
+    over the touched rows.  Replicated over a cluster: every machine node
+    scores the same pair batch with the single-node streams."""
+
+    #: every machine node of a cluster trains the same batch
+    replicated = True
+    #: the trainer method that scores the trained model
+    metric = "evaluate_linkpred"
+
+    def __init__(self, trainer, fault_plan: FaultPlan | None):
+        """Validate ``trainer``'s knobs for link prediction."""
+        t = trainer
+        if t.compute_ranks == "all" or t.overlap or t.streaming:
+            raise ValueError(
+                "link prediction runs in the sequential symmetric mode"
+            )
+        if fault_plan is not None and fault_plan.of_kind(RankFailure):
+            raise ValueError(
+                "link prediction supports transient fault plans only"
+            )
+        if t.sparse_optim_name not in SPARSE_OPTIMIZERS:
+            raise ValueError(
+                f"sparse_optimizer must be one of "
+                f"{sorted(SPARSE_OPTIMIZERS)}"
+            )
+        self.score_scale = t._score_scale
+        self._pair_rng = t.rngs.named("linkpred-pairs")
+
+    def model_dims(self, trainer) -> tuple[int, int]:
+        """The encoder maps embedding rows into a ``hidden``-dim space."""
+        return trainer.embedding_dim, trainer.hidden
+
+    def replica_state(self, trainer, node):
+        """The embedding table on ``node`` and its sparse optimizer; every
+        call draws the same ``embedding`` init stream."""
+        t = trainer
+        embedding = WholeEmbedding(
+            node, t.store.num_nodes, t.embedding_dim,
+            rng=t.rngs.named("embedding"),
+        )
+        optimizer = SPARSE_OPTIMIZERS[t.sparse_optim_name](
+            [embedding], lr=t.lr
+        )
+        return embedding, optimizer
+
+    def batches(self, trainer, count: int | None) -> list[PairBatch]:
+        """The epoch's pair batches, one per node-classification batch,
+        at most ``count``."""
+        t = trainer
+        n = max(1, t.store.train_nodes.shape[0] // t.batch_size)
+        if count is not None:
+            n = min(n, count)
+        return [
+            PairBatch.draw(t.store.csr, t.num_pairs, self._pair_rng)
+            for _ in range(n)
+        ]
+
+    def seeds(self, batch: PairBatch) -> np.ndarray:
+        """The rows a batch samples from: the pairs' endpoints."""
+        return batch.seeds
+
+    def inputs(self, replica, rows: np.ndarray, rank: int) -> Tensor:
+        """``rows``' trainable embedding rows, gathered on ``rank``."""
+        return replica.embedding.forward(rows, rank=rank, phase="gather")
+
+    def loss(self, replica, out: Tensor, batch: PairBatch) -> Tensor:
+        """BCE of the scaled pair dot products against the pair labels."""
+        scores = F.pairwise_dot(out, batch.left, batch.right) * self.score_scale
+        return F.binary_cross_entropy_with_logits(scores, batch.labels)
+
+    def update(self, replicas) -> None:
+        """Step the sparse optimizer over the touched rows (averaging the
+        replicas' row grads first when there are several); then every node
+        barriers, since the next gather reads the rows just written."""
+        if len(replicas) == 1:
+            replicas[0].sparse_optimizer.step(rank=0)
+        else:
+            averaged = average_row_grads(
+                [r.sparse_optimizer.collect() for r in replicas]
+            )
+            for r in replicas:
+                r.sparse_optimizer.apply(averaged, rank=0)
+        for r in replicas:
+            r.node.sync()
+
+    def report(self, trainer) -> tuple[dict, dict]:
+        """The run manifest's config keys and extra sections."""
+        t = trainer
+        config = {"task": "linkpred", "embedding_dim": t.embedding_dim,
+                  "num_pairs": t.num_pairs,
+                  "sparse_optimizer": t.sparse_optim_name}
+        extra = {"embedding": t.embedding.stats_dict(),
+                 "sparse_state_bytes": t.sparse_optimizer.state_bytes()}
+        return config, extra
 
 
 def linkpred_forward(
-    node,
-    model,
-    sampler: NeighborSampler,
-    embedding: WholeEmbedding,
-    src: np.ndarray,
-    dst: np.ndarray,
-    labels: np.ndarray,
-    rank: int,
-    sample_rng: np.random.Generator,
-    model_rng: np.random.Generator | None,
-    score_scale: float,
-    charge: bool = True,
-) -> LinkBatchResult:
-    """Encode the pair endpoints and score every (src, dst) pair.
+    model, sampler: NeighborSampler, embedding: WholeEmbedding,
+    batch: PairBatch, rng: np.random.Generator, score_scale: float,
+) -> Tensor:
+    """Score every pair of ``batch`` without charging any clock.
 
-    The endpoints of all pairs are deduplicated into one seed set, sampled
-    and encoded once; scores are scaled dot products of the endpoint
-    embeddings against BCE-with-logits labels.  Shared by the training step
-    (on every machine node's replica) and
-    :meth:`WholeGraphTrainer.evaluate_linkpred`.  With ``charge=True`` the
-    sampler and the embedding gather advance ``rank``'s clock under
-    ``sample``/``gather``.
+    The pairs' seed rows are sampled once and encoded without dropout; a
+    score is the scaled dot product of its endpoints' encodings.  The
+    forward pass of :meth:`WholeGraphTrainer.evaluate_linkpred`;
+    ``sampler`` should not charge either.
     """
-    seeds, inverse = np.unique(
-        np.concatenate([src, dst]), return_inverse=True
-    )
-    clock = node.gpu_clock[rank]
-    t0 = clock.now
-    subgraph = sampler.sample(seeds, rank, sample_rng)
-    t1 = clock.now
-    if charge:
-        e = embedding.forward(subgraph.input_nodes, rank=rank, phase="gather")
-    else:
-        e = Tensor(embedding.gather_no_cost(subgraph.input_nodes))
-    t2 = clock.now
-    h = model(subgraph, e, model_rng)
-    left = inverse[: src.shape[0]]
-    right = inverse[src.shape[0]:]
-    scores = F.pairwise_dot(h, left, right) * score_scale
-    loss = F.binary_cross_entropy_with_logits(scores, labels)
-    return LinkBatchResult(
-        subgraph=subgraph, scores=scores, loss=loss,
-        t_sample=t1 - t0, t_gather=t2 - t1,
-    )
+    sg = sampler.sample(batch.seeds, 0, rng)
+    h = model(sg, Tensor(embedding.gather_no_cost(sg.input_nodes)), None)
+    return F.pairwise_dot(h, batch.left, batch.right) * score_scale
 
 
 @dataclass
@@ -232,8 +318,10 @@ class WholeGraphTrainer:
         (BCE), the encoder's dense parameters ride the usual bucketed grad
         sync, and the embedding's touched rows are updated by a sparse
         optimizer (``sparse_optimizer`` in {'adam', 'sgd'}) whose row-grad
-        push rides the comm stream.  Runs in the sequential symmetric mode;
-        transient fault plans apply, permanent rank failures are rejected.
+        push rides the comm stream.  It trains through the same
+        data-parallel round as node classification, in the sequential
+        symmetric mode on one node or replicated over a cluster; transient
+        fault plans apply, permanent rank failures are rejected.
 
         ``plan`` selects the parallelism strategy (:mod:`repro.train.plans`):
         ``None`` or ``"data_parallel"`` is the default WholeGraph regime
@@ -296,48 +384,24 @@ class WholeGraphTrainer:
         #: sequential and pipelined schedules consume both identically
         self._model_rng = self.rngs.named("dropout")
 
-        if task not in ("node", "linkpred"):
-            raise ValueError("task must be 'node' or 'linkpred'")
-        if task == "linkpred" and (
-            compute_ranks == "all" or overlap or streaming
-        ):
-            raise ValueError(
-                "link prediction runs in the sequential symmetric mode"
-            )
-        self.task = task
-
-        init_rng = self.rngs.named("init")
-        self.embedding = None
-        self.sparse_optimizer = None
-        if task == "linkpred":
-            from repro.faults import RankFailure
-
-            if fault_plan is not None and fault_plan.of_kind(RankFailure):
-                raise ValueError(
-                    "link prediction supports transient fault plans only"
-                )
-            if sparse_optimizer not in SPARSE_OPTIMIZERS:
-                raise ValueError(
-                    f"sparse_optimizer must be one of "
-                    f"{sorted(SPARSE_OPTIMIZERS)}"
-                )
-            self.embedding_dim = (
-                int(embedding_dim) if embedding_dim else store.feature_dim
-            )
-            self.num_pairs = int(num_pairs) if num_pairs else self.batch_size
-            self.sparse_optim_name = sparse_optimizer
-            self.model = self._build_model(init_rng)
-            # pairs are scored by scaled dot product
-            self._score_scale = 1.0 / float(np.sqrt(hidden))
-            self.embedding, self.sparse_optimizer = self._build_embedding(
-                self.node
-            )
-            self._pair_rng = self.rngs.named("linkpred-pairs")
-            self.iterations_per_epoch = max(
-                1, store.train_nodes.shape[0] // self.batch_size
-            )
+        self.embedding_dim = (
+            int(embedding_dim) if embedding_dim else store.feature_dim
+        )
+        self.num_pairs = int(num_pairs) if num_pairs else self.batch_size
+        self.sparse_optim_name = sparse_optimizer
+        #: link prediction scores pairs by scaled dot product
+        self._score_scale = 1.0 / float(np.sqrt(hidden))
+        if task == "node":
+            self._task = NODE_CLASSIFICATION
+        elif task == "linkpred":
+            self._task = LinkPrediction(self, fault_plan)
         else:
-            self.model = self._build_model(init_rng)
+            raise ValueError("task must be 'node' or 'linkpred'")
+        self.task = task
+        self.model = self._build_model(self.rngs.named("init"))
+        self.embedding, self.sparse_optimizer = self._task.replica_state(
+            self, self.node
+        )
         self.optimizer = Adam(self.model.parameters(), lr=lr)
 
         self._epoch = 0
@@ -375,30 +439,13 @@ class WholeGraphTrainer:
     def _build_model(self, rng: np.random.Generator):
         """A fresh model for this task: node classes, or (link prediction)
         an encoder of embedding rows into a ``hidden``-dim score space."""
-        if self.task == "linkpred":
-            in_dim, out_dim = self.embedding_dim, self.hidden
-        else:
-            in_dim, out_dim = self.store.feature_dim, self.store.num_classes
+        in_dim, out_dim = self._task.model_dims(self)
         return build_model(
             self.model_name, in_dim, out_dim, rng, hidden=self.hidden,
             num_layers=self.num_layers, dropout=self.dropout,
         )
 
-    def _build_embedding(self, node):
-        """The link-prediction embedding table on ``node`` and its sparse
-        optimizer; every call draws the same ``embedding`` init stream."""
-        embedding = WholeEmbedding(
-            node, self.store.num_nodes, self.embedding_dim,
-            rng=self.rngs.named("embedding"),
-        )
-        optimizer = SPARSE_OPTIMIZERS[self.sparse_optim_name](
-            [embedding], lr=self.lr
-        )
-        return embedding, optimizer
-
     def _needs_checkpoints(self) -> bool:
-        from repro.faults import RankFailure
-
         return (
             self.fault_injector is not None
             and self.recovery_policy == "restart"
@@ -419,31 +466,14 @@ class WholeGraphTrainer:
 
     # -- training ---------------------------------------------------------------------
 
-    def _epoch_batches(self) -> list[np.ndarray]:
-        """Shuffled train nodes cut into per-step global batches."""
-        order = self.epoch_rng.permutation(self.store.train_nodes)
-        nb = max(1, order.shape[0] // self.batch_size)
-        return [
-            order[i * self.batch_size : (i + 1) * self.batch_size]
-            for i in range(nb)
-        ]
-
     def train_epoch(self, max_iterations: int | None = None) -> EpochStats:
-        """One pass over the training nodes (optionally truncated).
+        """One pass over the task's batches (optionally truncated): the
+        shuffled train nodes, or as many link-prediction pair batches.
 
         With an overlapped schedule, phase totals still record the *full*
-        per-phase work while ``epoch_time`` reflects the overlap.  A
-        link-prediction epoch is ``iterations_per_epoch`` pair batches.
+        per-phase work while ``epoch_time`` reflects the overlap.
         """
-        if self.task != "linkpred":
-            return self.plan.train_epoch(max_iterations)
-        n_iter = self.iterations_per_epoch
-        if max_iterations is not None:
-            n_iter = min(n_iter, int(max_iterations))
-        return self.plan.run_epoch(
-            [None] * n_iter,
-            lambda todo, times: ([self._step_linkpred(times)] for _ in todo),
-        )
+        return self.plan.train_epoch(max_iterations)
 
     # -- fault polling & recovery -------------------------------------------------
 
@@ -461,81 +491,15 @@ class WholeGraphTrainer:
                 node_ids={node.node_id for node in nodes},
             )
 
-    # -- link prediction over the DSM embedding table ---------------------------
+    # -- link-prediction evaluation ----------------------------------------------
 
-    def _step_linkpred(self, phase_totals: PhaseTimes) -> float:
-        """One link-prediction step over every replica.
-
-        Every machine node scores the same global pair batch (replicated
-        data parallelism), so the trajectory is the single-node one at any
-        machine count.  Dense encoder grads go through the plan's gradient
-        sync; sparse row grads ride the comm stream, averaged across the
-        replicas first when there is more than one.  ``phase_totals``
-        accumulates machine node 0's phase seconds.
-        """
-        replicas = self.plan.replicas
-        src, dst, labels = sample_link_batch(
-            self.store.csr, self.num_pairs, self._pair_rng
-        )
-        reg = metrics.get_registry()
-        losses = []
-        trained = []
-        for m in replicas:
-            node = m.node
-            clock = node.gpu_clock[0]
-            res = linkpred_forward(
-                node, m.model, m.sampler, m.embedding,
-                src, dst, labels, 0, m.sample_rng, m.model_rng,
-                self._score_scale, charge=True,
+    def _require_metric(self, metric: str, method: str) -> None:
+        """Raise unless this trainer's task is scored by ``metric``."""
+        if self._task.metric != metric:
+            raise ValueError(
+                f"{method}() does not apply to task={self.task!r}; "
+                f"score it with {self._task.metric}()"
             )
-            losses.append(float(res.loss.data))
-            m.model.zero_grad()
-            res.loss.backward()
-            sg = res.subgraph
-            train_t = (
-                m.model.estimate_train_time(sg) * self.layer_cost_factor
-            )
-            clock.advance(
-                train_t, phase="train", category="compute",
-                args={"edges": sg.total_edges(),
-                      "input_nodes": int(sg.input_nodes.shape[0])},
-            )
-            reg.counter("iterations_total", schedule="linkpred").inc(1)
-            reg.counter("phase_seconds_total", phase="sample").inc(
-                res.t_sample
-            )
-            reg.counter("phase_seconds_total", phase="gather").inc(
-                res.t_gather
-            )
-            reg.counter("phase_seconds_total", phase="train").inc(train_t)
-            for r in range(1, node.num_gpus):
-                clk = node.gpu_clock[r]
-                clk.advance(res.t_sample, phase="sample")
-                clk.advance(res.t_gather, phase="gather")
-                clk.advance(train_t, phase="train")
-            trained.append((m, train_t))
-            if m is replicas[0]:
-                phase_totals += PhaseTimes(
-                    sample=res.t_sample, gather=res.t_gather, train=train_t
-                )
-        # the embedding is not a Parameter: the dense sync's buckets cover
-        # the encoder only
-        self.plan.sync_gradients(trained)
-        for m in replicas:
-            m.optimizer.step()
-        # sparse rows: dedup + scatter-add + comm-lane push, touched-row
-        # state update priced on the owning ranks
-        if len(replicas) == 1:
-            self.sparse_optimizer.step(rank=0)
-        else:
-            averaged = average_row_grads(
-                [m.sparse_optimizer.collect() for m in replicas]
-            )
-            for m in replicas:
-                m.sparse_optimizer.apply(averaged, rank=0)
-        for m in replicas:
-            m.node.sync()
-        return float(np.mean(losses))
 
     def evaluate_linkpred(self, num_pairs: int = 2000) -> float:
         """Held-out link-prediction AUC over fresh positive/negative pairs.
@@ -544,22 +508,19 @@ class WholeGraphTrainer:
         ``linkpred-eval`` stream from its start, so repeated evaluations of
         the same trained state agree bitwise.
         """
-        if self.task != "linkpred":
-            raise ValueError("evaluate_linkpred needs task='linkpred'")
+        self._require_metric("evaluate_linkpred", "evaluate_linkpred")
         rng = self.rngs.named("linkpred-eval")
-        src, dst, labels = sample_link_batch(
-            self.store.csr, num_pairs, rng
-        )
+        batch = PairBatch.draw(self.store.csr, num_pairs, rng)
         self.model.eval()
         eval_sampler = NeighborSampler(
             self.store, self.sampler.fanouts, charge=False
         )
-        res = linkpred_forward(
-            self.node, self.model, eval_sampler, self.embedding,
-            src, dst, labels, 0, rng, None, self._score_scale, charge=False,
+        scores = linkpred_forward(
+            self.model, eval_sampler, self.embedding, batch, rng,
+            self._score_scale,
         )
         self.model.train()
-        return roc_auc(res.scores.data, labels)
+        return roc_auc(scores.data, batch.labels)
 
     # -- run artifacts ----------------------------------------------------------------
 
@@ -607,18 +568,10 @@ class WholeGraphTrainer:
         if self.streaming:
             cfg["streaming"] = True
             cfg["prefetch_depth"] = self.prefetch_depth
-        # link-prediction keys appear only for the recsys task, so the
+        # task keys appear only for link prediction, so the
         # node-classification manifests (and goldens) stay byte-identical
-        if self.task == "linkpred":
-            cfg["task"] = "linkpred"
-            cfg["embedding_dim"] = self.embedding_dim
-            cfg["num_pairs"] = self.num_pairs
-            cfg["sparse_optimizer"] = self.sparse_optim_name
-            extra = {
-                "embedding": self.embedding.stats_dict(),
-                "sparse_state_bytes": self.sparse_optimizer.state_bytes(),
-                **(extra or {}),
-            }
+        task_config, task_extra = self._task.report(self)
+        cfg.update(task_config)
         return report_from_node(
             name,
             self.node,
@@ -629,7 +582,10 @@ class WholeGraphTrainer:
             cache=self.store.feature_cache,
             accuracy=accuracy,
             history=[s.as_row() for s in self.history],
-            extra={"recoveries": list(self.recoveries), **(extra or {})},
+            extra={
+                "recoveries": list(self.recoveries), **task_extra,
+                **(extra or {}),
+            },
         )
 
     # -- inference --------------------------------------------------------------------
@@ -648,13 +604,18 @@ class WholeGraphTrainer:
         ``rank``.  With ``charge=True`` the phases land on the timeline
         under ``sample`` / ``gather`` / ``inference``.
         """
+        self._require_metric("evaluate", "predict")
+        return self._predict(nodes, batch_size, rank, charge, "inference")
+
+    def _predict(self, nodes, batch_size, rank, charge, stream) -> np.ndarray:
+        """:meth:`predict`, sampling from the named RNG ``stream``."""
         nodes = np.asarray(nodes, dtype=np.int64)
         batch_size = batch_size or self.batch_size
         self.model.eval()
         sampler = NeighborSampler(
             self.store, self.sampler.fanouts, charge=charge
         )
-        rng = self.rngs.named("inference")
+        rng = self.rngs.named(stream)
         out = np.empty(nodes.shape[0], dtype=np.int64)
         for i in range(0, nodes.shape[0], batch_size):
             seeds = nodes[i : i + batch_size]
@@ -681,26 +642,12 @@ class WholeGraphTrainer:
 
     def evaluate(self, nodes: np.ndarray | None = None,
                  batch_size: int | None = None) -> float:
-        """Sampled-inference accuracy over ``nodes`` (default: validation)."""
+        """Sampled-inference accuracy over ``nodes`` (default: validation),
+        charging no clock."""
+        self._require_metric("evaluate", "evaluate")
         if nodes is None:
             nodes = self.store.val_nodes
         nodes = np.asarray(nodes, dtype=np.int64)
-        batch_size = batch_size or self.batch_size
-        self.model.eval()
-        eval_sampler = NeighborSampler(
-            self.store, self.sampler.fanouts, charge=False
-        )
-        rng = self.rngs.named("eval")
-        correct = 0
-        for i in range(0, nodes.shape[0], batch_size):
-            seeds = nodes[i : i + batch_size]
-            sg = eval_sampler.sample(seeds, 0, rng)
-            x = Tensor(
-                self.store.feature_tensor.gather_no_cost(sg.input_nodes)
-            )
-            logits = self.model(sg, x, None)
-            correct += int(
-                (logits.data.argmax(axis=-1) == self.store.labels[seeds]).sum()
-            )
-        self.model.train()
+        preds = self._predict(nodes, batch_size, 0, False, "eval")
+        correct = int((preds == self.store.labels[nodes]).sum())
         return correct / max(nodes.shape[0], 1)
