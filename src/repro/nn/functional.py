@@ -4,15 +4,18 @@ The graph ops wrap :mod:`repro.ops.spmm` / :mod:`repro.ops.segment` with the
 backward passes the paper prescribes (§III-C4):
 
 - :func:`spmm_sum` / :func:`spmm_mean` forward on the CSR block; the
-  feature gradient scatters with atomic adds *elided for sub-graph nodes
-  whose duplicate count is 1*;
-- the edge-weight gradient of a weighted :func:`spmm_sum` is a g-SDDMM on
-  the same CSR;
+  feature gradient is the g-SpMM on the transposed CSR, whose scatters
+  elide atomics *for sub-graph nodes whose duplicate count is 1*;
+- a weighted :func:`spmm_sum` takes one weight per edge, or ``(E, H)``
+  weights over ``(N, H, D)`` features — GAT's attention-weighted
+  aggregation, one g-SpMM per head — and its edge-weight gradient is a
+  g-SDDMM on the same CSR, streamed in edge blocks, so no per-edge
+  ``(E, H, D)`` tensor exists in either direction;
 - :func:`edge_softmax` is the segment softmax GAT needs, with the exact
-  within-segment softmax Jacobian in backward;
-- :func:`gat_aggregate` is GAT's fused g-SpMM/g-SDDMM pair: the
-  attention-weighted aggregation and its edge-weight gradient, streamed
-  over edge chunks without materializing per-edge ``(E, H, D)`` messages.
+  within-segment softmax Jacobian in backward.
+
+Every sum over edges and every scatter-add backward here runs through the
+one CSR g-SpMM of :mod:`repro.ops.spmm`.
 """
 
 from __future__ import annotations
@@ -188,29 +191,41 @@ def spmm_sum(
 ) -> Tensor:
     """Weighted-sum aggregation ``out[t] = Σ_{e→t} w_e · x[src_e]``.
 
-    Backward w.r.t. ``x``: g-SpMM on the transposed CSR.  Backward w.r.t.
-    ``edge_weights``: g-SDDMM.
+    ``x`` is ``(N, D)`` with ``(E,)`` weights, or ``(N, H, D)`` with
+    ``(E, H)`` weights: one g-SpMM per head, the weights of head ``k``
+    scaling ``x[:, k]``.  Backward w.r.t. ``x``: g-SpMM on the transposed
+    CSR, per head.  Backward w.r.t. ``edge_weights``: g-SDDMM.
     """
     w = edge_weights
-    out = _spmm.gspmm_sum(
-        indptr, indices, x.data, None if w is None else w.data
-    )
     num_src = x.data.shape[0]
-
     if w is None:
+        out = _spmm.gspmm_sum(indptr, indices, x.data)
+
         def backward(g):
             return (_spmm.gspmm_backward_features(indptr, indices, g, num_src),)
 
         return Tensor._make(out, (x,), backward)
 
-    def backward_w(g):
-        gx = _spmm.gspmm_backward_features(
-            indptr, indices, g, num_src, edge_weights=w.data
-        )
-        gw = _sddmm.gsddmm_dot(indptr, indices, g, x.data)
-        return (gx, gw)
+    # heads on axis 1; a 2-D ``x`` is one head
+    xs = x.data if x.data.ndim == 3 else x.data[:, None]
+    ws = w.data if w.data.ndim == 2 else w.data[:, None]
+    out = np.empty((len(indptr) - 1,) + xs.shape[1:], dtype=np.float32)
+    for k in range(xs.shape[1]):
+        out[:, k] = _spmm.gspmm_sum(indptr, indices, xs[:, k], ws[:, k])
 
-    return Tensor._make(out, (x, w), backward_w)
+    def backward_w(g):
+        gs = g.reshape(out.shape)
+        gx = np.empty_like(xs)
+        for k in range(xs.shape[1]):
+            gx[:, k] = _spmm.gspmm_backward_features(
+                indptr, indices, gs[:, k], num_src, ws[:, k]
+            )
+        gw = _sddmm.gsddmm_dot(indptr, indices, g, x.data)
+        return (gx.reshape(x.data.shape), gw)
+
+    return Tensor._make(
+        out.reshape(out.shape[:1] + x.data.shape[1:]), (x, w), backward_w
+    )
 
 
 def spmm_mean(
@@ -302,54 +317,6 @@ def edge_gather_add(
         return (g_dst, g_src)
 
     return Tensor._make(out, (dst_values, src_values), backward)
-
-
-def gat_aggregate(
-    indptr: np.ndarray, indices: np.ndarray, alpha: Tensor, h: Tensor
-) -> Tensor:
-    """Fused attention-weighted aggregation ``out[t] = Σ_{e→t} α_e ⊙ h[src_e]``.
-
-    ``alpha`` is ``(E, H)`` in CSR edge order and ``h`` is ``(N, H, D)``;
-    the result is ``(T, H, D)``.  Forward and backward stream the edges in
-    :func:`repro.ops.segment.chunk_rows`-sized chunks, so no ``(E, H, D)``
-    message tensor ever exists:
-
-    - forward (g-SpMM): each chunk's messages ``h[src] · α`` are formed on
-      the fly and fed to the chunked prefix sum;
-    - ``dL/dα`` (g-SDDMM): ``<g[t_e], h[src_e]>`` per head, chunk by chunk;
-    - ``dL/dh``: ``α_e · g[t_e]`` scattered into the sources in the stable
-      source-sorted order of :func:`repro.ops.segment.scatter_add_rows`.
-
-    Every float operation is the one the unfused gather-multiply plus
-    segment-sum composition performs, so the results are bit-identical.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    idx = np.asarray(indices, dtype=np.int64)
-    a, x = alpha.data, h.data
-    row_shape = x.shape[1:]
-
-    def messages(lo, hi):
-        # multiply in h's dtype; the prefix-sum kernel widens afterwards
-        m = x[idx[lo:hi]]
-        m *= a[lo:hi, ..., None]
-        return m
-
-    out = _segment.segment_sum_rows(messages, indptr, row_shape, x.dtype)
-
-    def backward(g):
-        seg_ids = _segment.segment_ids_from_indptr(indptr)
-        step = _segment.chunk_rows(int(np.prod(row_shape)))
-        g_alpha = np.empty(a.shape, dtype=np.result_type(g, x))
-        for lo in range(0, idx.shape[0], step):
-            hi = lo + step
-            g_alpha[lo:hi] = (g[seg_ids[lo:hi]] * x[idx[lo:hi]]).sum(axis=-1)
-        g_h = _segment.scatter_add_edges(
-            x.shape[0], idx, lambda e: g[seg_ids[e]] * a[e, ..., None],
-            row_shape, x.dtype,
-        )
-        return (g_alpha, g_h)
-
-    return Tensor._make(out, (alpha, h), backward)
 
 
 def graph_readout(h: Tensor, graph_offsets: np.ndarray,

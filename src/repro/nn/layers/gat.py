@@ -8,9 +8,10 @@ Per head h:
 
 Heads are concatenated.  All three sparse stages run on the block's CSR
 (§III-C4); their backward passes are exercised through autograd.  The
-weighted g-SpMM and its edge-weight g-SDDMM gradient are one fused op,
-:func:`repro.nn.functional.gat_aggregate`, which streams edge chunks and
-never materializes the ``(E, H, D)`` per-edge messages.
+weighted g-SpMM is :func:`repro.nn.functional.spmm_sum` with α as the
+``(E, H)`` edge weights: one CSR SpMM per head forward and on the
+transposed CSR backward, and a blocked g-SDDMM for ``dL/dα``, so the
+``(E, H, D)`` per-edge messages never exist.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class GATConv(Module):
             self.negative_slope,
         )
         alpha = F.edge_softmax(block.indptr, logits)  # (E, H)
-        out = F.gat_aggregate(block.indptr, block.indices, alpha, h)  # (T, H, D)
+        out = F.spmm_sum(block.indptr, block.indices, h, alpha)  # (T, H, D)
         return out.reshape(-1, self.out_features) + self.bias
 
     def estimate_cost(self, num_targets: int, num_src: int,

@@ -1,27 +1,37 @@
 """Literal g-SpMM reference kernels for the equivalence tests.
 
 ``repro.ops.spmm`` runs every aggregation through ``scipy.sparse`` CSR
-matmul.  These are the data-parallel transcriptions it is checked against:
-the forward materialises one message per edge and segment-reduces it, and
-the feature backward scatters with a plain store for rows AppendUnique saw
-once and an atomic add (``np.add.at``) for the rest.
+matmul, and so do ``repro.ops.segment``'s sums.  These are the data-parallel
+transcriptions it is checked against, built on nothing from ``repro`` but
+the elision statistics: the forward materialises one message per edge and
+adds each into its row with ``np.add.at``, and the feature backward scatters
+with a plain store for rows AppendUnique saw once and an atomic add
+(``np.add.at``) for the rest.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ops.segment import segment_mean, segment_sum
 from repro.ops.spmm import atomic_elision_stats
+
+
+def _row_sums(msg: np.ndarray, csr_indptr) -> np.ndarray:
+    """Each CSR row's messages added one by one into zeros (atomic adds)."""
+    indptr = np.asarray(csr_indptr, dtype=np.int64)
+    rows = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+    out = np.zeros((indptr.shape[0] - 1,) + msg.shape[1:], dtype=msg.dtype)
+    np.add.at(out, rows, msg)
+    return out
 
 
 def reference_gspmm_sum(csr_indptr, csr_indices, features,
                         edge_weights=None) -> np.ndarray:
-    """Edge-materialising reference: gather messages, segment-reduce."""
+    """Edge-materialising reference: gather messages, add them per row."""
     msg = _edge_messages(
         np.asarray(csr_indices, np.int64), np.asarray(features), edge_weights
     )
-    return segment_sum(msg, csr_indptr)
+    return _row_sums(msg, csr_indptr)
 
 
 def reference_gspmm_mean(csr_indptr, csr_indices, features,
@@ -30,7 +40,8 @@ def reference_gspmm_mean(csr_indptr, csr_indices, features,
     msg = _edge_messages(
         np.asarray(csr_indices, np.int64), np.asarray(features), edge_weights
     )
-    return segment_mean(msg, csr_indptr)
+    deg = np.maximum(np.diff(np.asarray(csr_indptr, dtype=np.int64)), 1)
+    return _row_sums(msg, csr_indptr) / deg.astype(msg.dtype)[:, None]
 
 
 def _edge_messages(

@@ -1,10 +1,10 @@
 """Equivalence tests for the vectorized hot-path kernels.
 
-Each vectorized kernel is checked against a straightforward loop reference
-(the shape of the pre-optimization code): the chunked prefix-sum kernel
-behind ``segment_sum`` and the fused ``gat_aggregate`` must be *bitwise*
-identical to one global cumsum over materialized per-edge messages, the
-gather reply assembly must
+Each vectorized kernel is checked against a straightforward loop reference:
+the sums on the one CSR g-SpMM — ``segment_sum``, ``scatter_add_rows`` and
+the weighted multi-head ``spmm_sum`` with its two gradients — must be
+*bitwise* identical to float32 loops that add edge by edge from +0.0 (and
+to ``np.add.at``), the gather reply assembly must
 reproduce the loop-built replies and byte accounting, the batched
 hash-table probe must resolve exactly like the slot-at-a-time loop —
 including wrap-around chains and missing keys — and the sampler's two
@@ -36,31 +36,20 @@ from repro.ops.append_unique import (
 from repro.ops.gather import distributed_memory_gather
 from repro.ops.hashtable import EMPTY_KEY, GpuHashTable
 from repro.ops.sampling import batch_sample_without_replacement
-from repro.ops.segment import (
-    chunk_rows,
-    prefix_sums_at,
-    segment_ids_from_indptr,
-    segment_sum,
-)
+from repro.ops.sddmm import BLOCK_EDGES
+from repro.ops.segment import scatter_add_rows, segment_sum
 from repro.utils.scan import exclusive_prefix_sum
 
 # ---------------------------------------------------------------------------
-# segment_sum: chunked carry kernel is bit-identical to one global cumsum
+# segment sums, scatter-adds and weighted multi-head aggregation on the
+# one CSR g-SpMM: bitwise equal to float32 loops in edge order
 # ---------------------------------------------------------------------------
 
 
-def _segment_sum_reference(values: np.ndarray, indptr: np.ndarray):
-    """The pre-optimization implementation (C-order zeros + cumsum)."""
-    values = np.asarray(values)
-    indptr = np.asarray(indptr, dtype=np.int64)
-    n = indptr.shape[0] - 1
-    if values.shape[0] == 0 or n == 0:
-        return np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-    acc_dtype = np.float64 if values.dtype.kind == "f" else np.int64
-    cs = np.zeros((values.shape[0] + 1,) + values.shape[1:], dtype=acc_dtype)
-    np.cumsum(values, axis=0, dtype=acc_dtype, out=cs[1:])
-    out = cs[indptr[1:]] - cs[indptr[:-1]]
-    return out.astype(values.dtype, copy=False)
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The raw bit patterns of a float32 array (so ``-0.0 != 0.0``)."""
+    assert a.dtype == np.float32
+    return a.view(np.uint32)
 
 
 def _random_indptr(rng, num_edges, num_segments):
@@ -68,146 +57,97 @@ def _random_indptr(rng, num_edges, num_segments):
     return np.concatenate(([0], cuts, [num_edges])).astype(np.int64)
 
 
-def _bits(a: np.ndarray) -> np.ndarray:
-    """The raw bit patterns of a float array (so ``-0.0 != 0.0``)."""
-    return a.view({4: np.uint32, 8: np.uint64}[a.dtype.itemsize])
+def _segment_sum_loop(values, indptr):
+    """Each segment's edges added one by one, in order, from +0.0."""
+    out = np.zeros((len(indptr) - 1,) + values.shape[1:], dtype=np.float32)
+    for i in range(len(indptr) - 1):
+        for e in range(indptr[i], indptr[i + 1]):
+            out[i] += values[e]
+    return out
 
 
 @st.composite
 def edge_streams(draw, row_shapes=((), (7,), (4, 3), (2, 128))):
-    """Per-edge values plus segment bounds around the chunk boundaries."""
+    """Per-edge float32 values with signed zeros, and segment bounds with
+    empty segments inside and at both ends."""
     row_shape = draw(st.sampled_from(row_shapes))
-    chunk = chunk_rows(int(np.prod(row_shape)))
-    num_edges = draw(
-        st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk])
-        | st.integers(0, 2 * chunk + 1)
-    )
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    num_edges = draw(st.sampled_from([0, 1]) | st.integers(0, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.standard_normal((num_edges,) + row_shape).astype(dtype)
+    values = rng.standard_normal((num_edges,) + row_shape).astype(np.float32)
+    values[rng.random(num_edges) < 0.2] = -0.0
     cuts = rng.integers(0, num_edges + 1, size=draw(st.integers(0, 12)))
     if num_edges and draw(st.booleans()):
-        # a -0.0 first edge read out on its own keeps its sign bit
+        # a -0.0 edge alone in its segment sums to +0.0
         values[0] = -0.0
         cuts = np.append(cuts, 1)
-    cuts = np.sort(cuts)
-    # leading and trailing empty segments: repeated 0s and repeated E's
     indptr = np.concatenate((
-        np.zeros(draw(st.integers(1, 3)), dtype=np.int64), cuts,
+        np.zeros(draw(st.integers(1, 3)), dtype=np.int64), np.sort(cuts),
         np.full(draw(st.integers(1, 3)), num_edges),
     )).astype(np.int64)
     return values, indptr
 
 
 @given(edge_streams())
-def test_prefix_sums_at_matches_global_cumsum_bitwise(stream):
+def test_segment_sum_bitwise_matches_sequential_loop(stream):
     values, indptr = stream
-    num_edges = values.shape[0]
-    width = int(np.prod(values.shape[1:]))
-    flat = values.reshape(num_edges, width)
-    got = prefix_sums_at(lambda a, b: values[a:b], num_edges, width, indptr)
-    ref = np.zeros((num_edges + 1, width), dtype=np.float64)
-    np.cumsum(flat, axis=0, dtype=np.float64, out=ref[1:])
-    assert got.dtype == np.float64
-    assert np.array_equal(_bits(got), _bits(ref[indptr]))
     out = segment_sum(values, indptr)
-    assert out.dtype == values.dtype
-    assert np.array_equal(
-        _bits(out), _bits(_segment_sum_reference(values, indptr))
-    )
+    assert out.shape == (len(indptr) - 1,) + values.shape[1:]
+    assert np.array_equal(_bits(out), _bits(_segment_sum_loop(values, indptr)))
 
 
-@pytest.mark.parametrize("shape", [(500,), (500, 7), (333, 4, 3)])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_segment_sum_bitwise_matches_reference(seeded_rng, shape, dtype):
-    values = seeded_rng.standard_normal(shape).astype(dtype)
-    indptr = _random_indptr(seeded_rng, shape[0], 40)
-    got = segment_sum(values, indptr)
-    ref = _segment_sum_reference(values, indptr)
-    # bitwise, not approx: compare the raw bit patterns
-    assert got.dtype == ref.dtype
-    assert np.array_equal(
-        got.view(np.uint32 if dtype == np.float32 else np.uint64),
-        ref.view(np.uint32 if dtype == np.float32 else np.uint64),
-    )
+@given(edge_streams(), st.integers(1, 40))
+def test_scatter_add_rows_bitwise_matches_add_at(stream, num_rows):
+    values, _ = stream
+    rng = np.random.default_rng(values.size)
+    indices = rng.integers(0, num_rows, size=values.shape[0])
+    ref = np.zeros((num_rows,) + values.shape[1:], dtype=np.float32)
+    np.add.at(ref, indices, values)
+    out = scatter_add_rows(num_rows, indices, values)
+    assert np.array_equal(_bits(out), _bits(ref))
 
 
-def _scatter_add_reference(num_rows, indices, values):
-    """``scatter_add_rows`` over a materialized, source-sorted copy."""
-    order = np.argsort(indices, kind="stable")
-    si = indices[order]
-    out = np.zeros((num_rows,) + values.shape[1:], dtype=values.dtype)
-    if si.size:
-        starts = np.flatnonzero(np.concatenate(([True], si[1:] != si[:-1])))
-        out[si[starts]] = _segment_sum_reference(
-            values[order], np.append(starts, si.size)
-        )
-    return out
-
-
-def _gat_aggregate_reference(indptr, indices, alpha, h, g):
-    """The unfused GAT aggregation: ``(E, H, D)`` messages reduced by one
-    global cumsum, and the backward that re-gathers and scatter-adds them.
-
-    It pins the two rules the fused op must follow: each message is a
-    float32 product widened afterwards (never multiplied into a float64
-    buffer), and each chunk's carry enters the cumsum as its first row
-    rather than being added to the chunk's sums afterwards.
-    """
-    seg_ids = segment_ids_from_indptr(indptr)
-    msgs = h[indices]
-    msgs *= alpha[..., None]
-    out = _segment_sum_reference(msgs, indptr)
-    g_msgs = g[seg_ids]
-    g_alpha = (g_msgs * h[indices]).sum(axis=-1)
-    g_h = _scatter_add_reference(h.shape[0], indices,
-                                 g_msgs * alpha[..., None])
+def _weighted_spmm_loops(indptr, indices, alpha, h, g):
+    """GAT's aggregation ``out[t] = Σ_e α_e · h[src_e]`` and its two
+    gradients as loops over the edges in CSR order: each product is a
+    float32 multiply, added into a zeroed row.  ``dL/dα`` is each edge's
+    and head's own dot product ``<g[t], h[src]>``."""
+    out = np.zeros((len(indptr) - 1,) + h.shape[1:], dtype=np.float32)
+    g_alpha = np.zeros(alpha.shape, dtype=np.float32)
+    g_h = np.zeros_like(h)
+    for t in range(len(indptr) - 1):
+        for e in range(indptr[t], indptr[t + 1]):
+            s = indices[e]
+            out[t] += alpha[e][:, None] * h[s]
+            g_h[s] += alpha[e][:, None] * g[t]
+            for k in range(h.shape[1]):
+                g_alpha[e, k] = np.einsum("d,d->", g[t, k], h[s, k])
     return out, g_alpha, g_h
 
 
-@given(
-    st.sampled_from([(4, 64), (2, 3), (1, 256)]),
-    st.sampled_from(["none", "one", "chunk-1", "chunk", "chunk+1", "3chunk"])
-    | st.integers(0, 700),
-    st.integers(1, 40),
-    st.integers(0, 2**32 - 1),
-)
-def test_gat_aggregate_bitwise_matches_unfused(heads_dim, edges, nsrc, seed):
+@pytest.mark.parametrize("num_edges", [0, 1, 2 * BLOCK_EDGES + 3])
+@pytest.mark.parametrize("heads_dim", [(1, 5), (4, 64)])
+def test_weighted_multihead_spmm_sum_bitwise_matches_loops(num_edges,
+                                                           heads_dim):
     num_heads, head_dim = heads_dim
-    chunk = chunk_rows(num_heads * head_dim)
-    num_edges = edges if isinstance(edges, int) else {
-        "none": 0, "one": 1, "chunk-1": chunk - 1, "chunk": chunk,
-        "chunk+1": chunk + 1, "3chunk": 3 * chunk,
-    }[edges]
-    rng = np.random.default_rng(seed)
-    indptr = _random_indptr(rng, num_edges, int(rng.integers(1, 30)))
-    num_targets = indptr.shape[0] - 1
+    rng = np.random.default_rng(num_edges)
+    nsrc = 50
+    indptr = _random_indptr(rng, num_edges, 40)
     indices = rng.integers(0, nsrc, size=num_edges)
     alpha = rng.random((num_edges, num_heads)).astype(np.float32)
     alpha[rng.random(alpha.shape) < 0.1] = 0.0  # signed-zero products
     h = rng.standard_normal((nsrc, num_heads, head_dim)).astype(np.float32)
-    g = rng.standard_normal(
-        (num_targets, num_heads, head_dim)
-    ).astype(np.float32)
+    g = rng.standard_normal((40, num_heads, head_dim)).astype(np.float32)
 
     a_t = Tensor(alpha, requires_grad=True)
     h_t = Tensor(h, requires_grad=True)
-    out = F.gat_aggregate(indptr, indices, a_t, h_t)
+    out = F.spmm_sum(indptr, indices, h_t, a_t)
     out.backward(g)
-    ref_out, ref_ga, ref_gh = _gat_aggregate_reference(
+    ref_out, ref_ga, ref_gh = _weighted_spmm_loops(
         indptr, indices, alpha, h, g
     )
     assert np.array_equal(_bits(out.data), _bits(ref_out))
     assert np.array_equal(_bits(a_t.grad), _bits(ref_ga))
     assert np.array_equal(_bits(h_t.grad), _bits(ref_gh))
-
-
-def test_segment_sum_bitwise_matches_reference_int(seeded_rng):
-    values = seeded_rng.integers(-100, 100, size=(400, 5), dtype=np.int64)
-    indptr = _random_indptr(seeded_rng, 400, 17)
-    assert np.array_equal(
-        segment_sum(values, indptr), _segment_sum_reference(values, indptr)
-    )
 
 
 def test_segment_sum_empty_segments_and_edges():

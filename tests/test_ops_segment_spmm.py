@@ -110,6 +110,30 @@ def test_gspmm_sum_vs_dense_matmul(seed):
     )
 
 
+@pytest.mark.parametrize("indptr, indices", [
+    ([0, 1, 2], [0, 7]),        # a column past the 3 sources
+    ([0, 1, 2], [0, -1]),       # a negative column
+    ([0, -5, 3], [0, 1, 2]),    # a decreasing indptr
+])
+def test_csr_builder_rejects_out_of_range_indices(indptr, indices):
+    """SciPy trusts its index arrays; the one CSR builder must not."""
+    with pytest.raises(ValueError):
+        gspmm_sum(indptr, indices, np.ones((3, 2), dtype=np.float32))
+    with pytest.raises(ValueError):
+        gspmm_backward_features(
+            indptr, indices, np.ones((2, 2), dtype=np.float32), 3
+        )
+
+
+def test_segment_sum_and_scatter_add_reject_bad_bounds():
+    values = np.ones((3, 2), dtype=np.float32)
+    with pytest.raises(ValueError):
+        segment_sum(values, [0, 2, 1, 3])
+    for rows in ([0, 5, 1], [0, -1, 1]):
+        with pytest.raises(ValueError):
+            scatter_add_rows(5, np.array(rows), values)
+
+
 @given(st.integers(min_value=0, max_value=2**31))
 def test_scipy_and_reference_kernels_agree(seed):
     rng = np.random.default_rng(seed)
