@@ -56,13 +56,23 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator,
             training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or ``p == 0``."""
-    if not training or p <= 0:
+    """Inverted dropout; identity when not training or ``p == 0``.
+
+    ``p`` must lie in ``[0, 1)``.  The tape keeps only the boolean keep mask
+    and one float32 ``scale = 1 / (1 - p)``; forward and backward multiply
+    by ``kept * scale``, which is the float32 array ``(u >= p) / (1 - p)``
+    bit for bit (a dropped entry multiplies by ``+0.0``, so ``x * 0`` keeps
+    its sign).
+    """
+    if not 0 <= p < 1:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0:
         return x
-    keep = (rng.random(x.data.shape) >= p).astype(np.float32) / np.float32(
-        1.0 - p
+    kept = rng.random(x.data.shape) >= p
+    scale = np.float32(1) / np.float32(1 - p)
+    return Tensor._make(
+        x.data * (kept * scale), (x,), lambda g: (g * (kept * scale),)
     )
-    return Tensor._make(x.data * keep, (x,), lambda g: (g * keep,))
 
 
 # ---------------------------------------------------------------------------

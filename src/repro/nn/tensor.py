@@ -1,9 +1,11 @@
 """NumPy-backed reverse-mode autograd tensor.
 
 A deliberately small tape-based autodiff: each op records its parents and a
-closure that accumulates gradients into them; ``backward()`` walks the tape
-in reverse topological order.  Broadcasting in ``+``/``*`` is handled by
-summing gradients over broadcast axes (:func:`unbroadcast`).
+closure that returns their gradients; ``backward()`` walks the tape in
+reverse topological order.  Broadcasting in ``+``/``*`` is handled by
+summing gradients over broadcast axes (:func:`unbroadcast`).  A pullback
+returns ``None`` for a parent that needs no gradient instead of computing
+it, and each gradient array is held once (:meth:`Tensor.accumulate_grad`).
 
 Gradients are validated against central finite differences in the test
 suite for every op.
@@ -45,7 +47,8 @@ class Tensor:
         """Create a non-leaf tensor with the given parents and pullback.
 
         ``backward(grad)`` must return one gradient array (or ``None``) per
-        parent, in order.
+        parent, in order: ``None`` for a parent that needs no gradient.  It
+        never writes into ``grad``, which other nodes may hold.
         """
         out = Tensor(data)
         out.requires_grad = any(p.requires_grad for p in parents)
@@ -55,8 +58,20 @@ class Tensor:
         return out
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
+        """Add ``grad`` to this tensor's gradient.
+
+        Nothing writes into an array after handing it here, except a leaf
+        writing into its own copy.  A tensor with a pullback keeps the first
+        gradient it receives as is, without a copy (another node may hold
+        the same array), and adds later ones out of place.  A leaf (no
+        pullback: parameters and inputs) copies its first gradient and adds
+        later ones in place; optimizers and gradient averaging read and
+        replace its ``.grad``.
+        """
         grad = np.asarray(grad, dtype=np.float32)
-        if self.grad is None:
+        if self._backward is not None:
+            self.grad = grad if self.grad is None else self.grad + grad
+        elif self.grad is None:
             self.grad = grad.copy()
         else:
             self.grad += grad
@@ -66,9 +81,10 @@ class Tensor:
 
         ``grad`` defaults to ones (must be provided for non-scalar roots in
         principle, but ones is the useful convention for mean-losses too).
+        A given ``grad`` is copied, so the caller keeps its array.
         """
-        if grad is None:
-            grad = np.ones_like(self.data)
+        grad = (np.ones_like(self.data) if grad is None
+                else np.array(grad, dtype=np.float32))
         # reverse topological order over the tape
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -129,14 +145,16 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
-        return Tensor._make(
-            self.data + other.data,
-            (self, other),
-            lambda g: (
-                unbroadcast(g, self.data.shape),
-                unbroadcast(g, other.data.shape),
-            ),
-        )
+
+        def backward(g):
+            return (
+                unbroadcast(g, self.data.shape)
+                if self.requires_grad else None,
+                unbroadcast(g, other.data.shape)
+                if other.requires_grad else None,
+            )
+
+        return Tensor._make(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -151,37 +169,42 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
-        return Tensor._make(
-            self.data * other.data,
-            (self, other),
-            lambda g: (
-                unbroadcast(g * other.data, self.data.shape),
-                unbroadcast(g * self.data, other.data.shape),
-            ),
-        )
+
+        def backward(g):
+            return (
+                unbroadcast(g * other.data, self.data.shape)
+                if self.requires_grad else None,
+                unbroadcast(g * self.data, other.data.shape)
+                if other.requires_grad else None,
+            )
+
+        return Tensor._make(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
-        return Tensor._make(
-            self.data / other.data,
-            (self, other),
-            lambda g: (
-                unbroadcast(g / other.data, self.data.shape),
-                unbroadcast(
-                    -g * self.data / (other.data**2), other.data.shape
-                ),
-            ),
-        )
+
+        def backward(g):
+            return (
+                unbroadcast(g / other.data, self.data.shape)
+                if self.requires_grad else None,
+                unbroadcast(-g * self.data / (other.data**2), other.data.shape)
+                if other.requires_grad else None,
+            )
+
+        return Tensor._make(self.data / other.data, (self, other), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
-        return Tensor._make(
-            self.data @ other.data,
-            (self, other),
-            lambda g: (g @ other.data.T, self.data.T @ g),
-        )
+
+        def backward(g):
+            return (
+                g @ other.data.T if self.requires_grad else None,
+                self.data.T @ g if other.requires_grad else None,
+            )
+
+        return Tensor._make(self.data @ other.data, (self, other), backward)
 
     def __pow__(self, exponent: float) -> "Tensor":
         e = float(exponent)
