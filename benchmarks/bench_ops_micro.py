@@ -5,8 +5,9 @@ throughput (useful for tracking regressions in the vectorised kernels),
 not the simulated DGX times.  The sampler cases include the shapes the
 training workloads run: degrees just above the fan-out (every sampled row
 collides) and a neighbor stream far longer than its ID range.  The DSM
-row-access and row-grad dedup cases run the ``recsys-linkpred`` shapes, and
-the weighted multi-head aggregation runs ``gat-papers``' layer 0.
+row-access and row-grad dedup cases run the ``recsys-linkpred`` shapes, the
+weighted multi-head aggregation runs ``gat-papers``' layer 0, and one
+``SAGEConv`` forward and backward runs ``sage-products-overlap``'s layer 0.
 CI runs the file with ``--benchmark-disable`` (each case once) so it
 cannot rot.
 """
@@ -17,8 +18,10 @@ from repro.dsm.sparse_embedding import dedup_row_grads
 from repro.dsm.whole_tensor import WholeTensor
 from repro.hardware import SimNode
 from repro.nn import functional as F
+from repro.nn.layers import SAGEConv
 from repro.nn.tensor import Tensor
 from repro.ops.append_unique import append_unique
+from repro.ops.neighbor_sampler import LayerBlock
 from repro.ops.sampling import batch_sample_without_replacement
 from repro.ops.segment import scatter_add_rows, segment_sum
 from repro.ops.spmm import gspmm_backward_features, gspmm_sum
@@ -103,6 +106,32 @@ def test_bench_gat_spmm_sum_forward_backward(benchmark):
 
     def step():
         F.spmm_sum(indptr, indices, h, alpha).backward(g)
+
+    benchmark(step)
+
+
+def test_bench_sage_layer0_forward_backward(benchmark):
+    # sage-products-overlap layer 0: 1,781,278 edges from 60,000 sources
+    # into 59,379 targets, 100 -> 64 features; the input features need no
+    # gradient, so backward computes only the two weight products and the
+    # bias sum, and no (targets x 100) input gradient
+    rng = np.random.default_rng(4)
+    num_targets, num_src = 59_379, 60_000
+    sizes = np.full(num_targets, 30)
+    sizes[rng.choice(num_targets, 92, replace=False)] = 29
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    indices = rng.integers(0, num_src, size=int(indptr[-1]))
+    block = LayerBlock(
+        indptr=indptr, indices=indices, num_targets=num_targets,
+        num_src=num_src,
+        duplicate_counts=np.bincount(indices, minlength=num_src),
+    )
+    conv = SAGEConv(100, 64, rng)
+    x = Tensor(rng.standard_normal((num_src, 100)).astype(np.float32))
+    g = rng.standard_normal((num_targets, 64)).astype(np.float32)
+
+    def step():
+        conv(block, x).backward(g)
 
     benchmark(step)
 

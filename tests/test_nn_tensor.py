@@ -1,8 +1,12 @@
-"""Autograd engine: every op's gradient vs central finite differences."""
+"""Autograd engine: every op's gradient vs central finite differences, plus
+the tape's gradient ownership and needed-gradient rules."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.nn.linear import Linear
 from repro.nn.tensor import Tensor, unbroadcast
 
 
@@ -129,3 +133,161 @@ def test_deep_chain_no_recursion_limit():
         out = out * 1.0
     out.sum().backward()
     assert np.allclose(t.grad, np.ones(2))
+
+
+# -- gradient ownership: each gradient array is held once ---------------------
+# A tensor with a pullback keeps the first gradient it receives without a
+# copy, so one array can reach several nodes; every later contribution must
+# be added out of place, and a leaf must own its ``.grad``.
+
+
+@pytest.mark.parametrize("x_first", [True, False])
+def test_shared_gradient_survives_a_second_contribution(rng, x_first):
+    """``x + y`` hands one array to both parents; ``x`` then receives a
+    second contribution (before or after, by term order), which must leave
+    ``y``'s gradient and the sum's own gradient unchanged."""
+    a_np, b_np, c, d = (
+        rng.standard_normal((4, 3)).astype(np.float32) for _ in range(4)
+    )
+
+    def build(a, b):
+        x, y = a * 1.5, b * 0.5
+        s = x + y
+        terms = [(s * Tensor(c)).sum(), (x * Tensor(d)).sum()]
+        if x_first:
+            terms.reverse()
+        return terms[0] + terms[1], x, y, s
+
+    a = Tensor(a_np, requires_grad=True)
+    b = Tensor(b_np, requires_grad=True)
+    loss, x, y, s = build(a, b)
+    loss.backward()
+    assert np.array_equal(s.grad, c) and np.array_equal(y.grad, c)
+    assert np.array_equal(x.grad, c + d)
+    for leaf, value in ((a, a_np), (b, b_np)):
+        num = numeric_grad(
+            lambda: float(build(Tensor(a_np), Tensor(b_np))[0].data), value
+        )
+        assert np.allclose(leaf.grad, num, atol=2e-2)
+
+
+def test_reshape_view_gradient_survives_a_second_contribution(rng):
+    """``h.reshape`` hands ``h`` a view of its own gradient; ``h``'s second
+    contribution must not write through it."""
+    a_np = rng.standard_normal((4, 3)).astype(np.float32)
+    c = rng.standard_normal((2, 6)).astype(np.float32)
+    d = rng.standard_normal((4, 3)).astype(np.float32)
+
+    def build(a):
+        h = a * 1.0
+        r = h.reshape(2, 6)
+        return (r * Tensor(c)).sum() + (h * Tensor(d)).sum(), h, r
+
+    a = Tensor(a_np, requires_grad=True)
+    loss, h, r = build(a)
+    loss.backward()
+    assert np.array_equal(r.grad, c)
+    assert np.array_equal(h.grad, c.reshape(4, 3) + d)
+    num = numeric_grad(lambda: float(build(Tensor(a_np))[0].data), a_np)
+    assert np.allclose(a.grad, num, atol=2e-2)
+
+
+def test_tensor_used_twice_gets_its_own_sum(rng):
+    """``y + y`` hands ``y`` the same array twice: ``y`` sums the two out
+    of place, and the sum node keeps its own gradient."""
+    a_np, c = (rng.standard_normal((4, 3)).astype(np.float32) for _ in range(2))
+    a = Tensor(a_np, requires_grad=True)
+    y = a * 2.0
+    s = y + y
+    (s * Tensor(c)).sum().backward()
+    assert np.array_equal(s.grad, c)
+    assert np.array_equal(y.grad, c + c)
+    assert np.array_equal(a.grad, (c + c) * np.float32(2.0))
+
+
+def test_leaves_never_share_a_grad_array(rng):
+    """Two leaves handed one array each copy it: scaling one leaf's
+    ``.grad`` in place leaves the other leaf and the tape unchanged."""
+    a_np, b_np, c = (
+        rng.standard_normal((4, 3)).astype(np.float32) for _ in range(3)
+    )
+    a = Tensor(a_np, requires_grad=True)
+    b = Tensor(b_np, requires_grad=True)
+    s = a + b
+    (s * Tensor(c)).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad *= 2
+    assert np.array_equal(b.grad, c) and np.array_equal(s.grad, c)
+    assert np.array_equal(a.grad, c * np.float32(2.0))
+
+
+def test_backward_copies_an_explicit_seed(rng):
+    a = Tensor(rng.standard_normal((4, 3)).astype(np.float32),
+               requires_grad=True)
+    out = a * 3.0
+    seed = rng.standard_normal((4, 3)).astype(np.float32)
+    out.backward(seed)
+    assert not np.shares_memory(out.grad, seed)
+    expected = seed.copy()
+    seed[...] = 0
+    assert np.array_equal(out.grad, expected)
+
+
+# -- only needed gradients: Linear is one taped op ----------------------------
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("x_needs_grad", [True, False])
+def test_linear_bitwise_matches_separate_tensor_ops(rng, bias, x_needs_grad):
+    """The fused op against the literal ``(x @ W) + b`` tape: output and
+    every gradient compare as ``uint32`` bits."""
+    lin = Linear(6, 5, rng, bias=bias)
+    if bias:
+        lin.bias.data[...] = rng.standard_normal(5)
+    x_np = rng.standard_normal((7, 6)).astype(np.float32)
+    g = rng.standard_normal((7, 5)).astype(np.float32)
+
+    x = Tensor(x_np, requires_grad=x_needs_grad)
+    out = lin(x)
+    out.backward(g)
+
+    rx = Tensor(x_np, requires_grad=x_needs_grad)
+    rw = Tensor(lin.weight.data.copy(), requires_grad=True)
+    ref = rx @ rw
+    if bias:
+        rb = Tensor(lin.bias.data.copy(), requires_grad=True)
+        ref = ref + rb
+    ref.backward(g)
+
+    assert np.array_equal(bits(out.data), bits(ref.data))
+    assert np.array_equal(bits(lin.weight.grad), bits(rw.grad))
+    if bias:
+        assert np.array_equal(bits(lin.bias.grad), bits(rb.grad))
+    if x_needs_grad:
+        assert np.array_equal(bits(x.grad), bits(rx.grad))
+    else:
+        assert x.grad is None and rx.grad is None
+
+
+def backward_peak_bytes(loss: Tensor) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated during ``loss.backward()``."""
+    tracemalloc.start()
+    try:
+        loss.backward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_linear_backward_skips_the_input_gradient(rng):
+    """An input that needs no gradient gets no ``g @ W.T``: the backward
+    allocates nothing near the input's size."""
+    lin = Linear(64, 4, rng)
+    x = Tensor(rng.standard_normal((4096, 64)).astype(np.float32))
+    loss = lin(x).sum()
+    assert backward_peak_bytes(loss) < x.nbytes // 4
+    assert x.grad is None and lin.weight.grad is not None
