@@ -92,7 +92,7 @@ class CpuBaselineTrainer:
         total_edges = 0
         for fanout in self.fanouts:
             targets = frontiers[-1]
-            flat, counts, positions = sample_layer(
+            flat, counts, _ = sample_layer(
                 csr.indptr, csr.indices, targets, fanout, rng
             )
             uni = append_unique(targets, flat)
@@ -104,7 +104,6 @@ class CpuBaselineTrainer:
                     num_targets=targets.shape[0],
                     num_src=uni.num_unique,
                     duplicate_counts=uni.duplicate_counts,
-                    edge_positions=positions,
                 )
             )
             frontiers.append(uni.unique_nodes)

@@ -47,9 +47,3 @@ class HostGraphStore:
     def gather_features_host(self, nodes) -> np.ndarray:
         """CPU fancy-index gather (cost charged by the caller)."""
         return self.features[np.asarray(nodes, dtype=np.int64)]
-
-    def structure_nbytes(self) -> int:
-        return self.csr.indptr.nbytes + self.csr.indices.nbytes
-
-    def feature_nbytes(self) -> int:
-        return self.features.nbytes

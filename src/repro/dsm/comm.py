@@ -44,27 +44,6 @@ class Communicator:
             return self.bandwidth
         return self.bandwidth / injector.link_slowdown(t, self.node.node_id)
 
-    # -- point to point --------------------------------------------------------
-
-    def send_recv(self, data: np.ndarray, src: int, dst: int,
-                  phase: str = "comm") -> np.ndarray:
-        """Explicit send from ``src`` to ``dst``; both ranks are charged."""
-        data = np.asarray(data)
-        start = max(self.node.gpu_clock[src].now, self.node.gpu_clock[dst].now)
-        t = costmodel.stream_transfer_time(
-            data.nbytes, self._effective_bandwidth(start), self.latency
-        )
-        self.node.gpu_clock[src].wait_until(start)
-        self.node.gpu_clock[dst].wait_until(start)
-        args = {"nbytes": int(data.nbytes), "src": src, "dst": dst}
-        self.node.gpu_clock[src].advance(
-            t, phase=phase, category="comm", args=args
-        )
-        self.node.gpu_clock[dst].advance(
-            t, phase=phase, category="comm", args=args
-        )
-        return data.copy()
-
     # -- collectives ------------------------------------------------------------
 
     def _enter(self, phase: str = "wait") -> None:

@@ -134,13 +134,6 @@ class WholeMemory:
                 table.set_pointer(rank, buf)
         self.materialized = True
 
-    # -- address arithmetic -------------------------------------------------
-
-    def rank_of_offset(self, offsets) -> np.ndarray:
-        """Owning rank of each global byte offset."""
-        bounds = np.cumsum(self.partition_sizes)
-        return np.searchsorted(bounds, np.asarray(offsets), side="right")
-
     # -- lifecycle -----------------------------------------------------------
 
     def free(self) -> None:

@@ -20,7 +20,6 @@ def from_edge_list(
     undirected: bool = True,
     dedup: bool = True,
     remove_self_loops: bool = True,
-    edge_weights=None,
 ) -> CSRGraph:
     """Build a :class:`CSRGraph` from COO ``(src, dst)`` arrays.
 
@@ -33,9 +32,6 @@ def from_edge_list(
         Drop duplicate ``(src, dst)`` pairs after symmetrisation.
     remove_self_loops:
         Drop ``u -> u`` edges.
-    edge_weights:
-        Optional per-input-edge weights; mirrored for reverse edges, and
-        incompatible with ``dedup`` (which would have to merge them).
     """
     src = np.asarray(src, dtype=np.int64).ravel()
     dst = np.asarray(dst, dtype=np.int64).ravel()
@@ -46,24 +42,13 @@ def from_edge_list(
         or max(src.max(), dst.max()) >= num_nodes
     ):
         raise ValueError("edge endpoint out of range")
-    w = None
-    if edge_weights is not None:
-        if dedup:
-            raise ValueError("dedup would silently merge edge weights")
-        w = np.asarray(edge_weights, dtype=np.float32).ravel()
-        if w.shape != src.shape:
-            raise ValueError("edge_weights length must match edges")
 
     if undirected:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        if w is not None:
-            w = np.concatenate([w, w])
 
     if remove_self_loops:
         keep = src != dst
         src, dst = src[keep], dst[keep]
-        if w is not None:
-            w = w[keep]
 
     if dedup and src.size:
         # sort by (src, dst) and drop exact repeats
@@ -78,13 +63,11 @@ def from_edge_list(
     else:
         order = np.argsort(src, kind="stable")
         src, dst = src[order], dst[order]
-        if w is not None:
-            w = w[order]
 
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.add.at(indptr, src + 1, 1)
     np.cumsum(indptr, out=indptr)
-    return CSRGraph(indptr, dst, edge_weights=w, num_nodes=num_nodes)
+    return CSRGraph(indptr, dst, num_nodes=num_nodes)
 
 
 def _place_chunk(

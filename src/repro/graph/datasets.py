@@ -160,7 +160,6 @@ def load_dataset(
     feature_dim: int | None = None,
     num_classes: int | None = None,
     homophily: float = 0.8,
-    edge_weighted: bool = False,
 ) -> SyntheticDataset:
     """Generate a scaled synthetic instance of dataset ``name``.
 
@@ -190,17 +189,7 @@ def load_dataset(
         labels = rng.integers(0, num_classes, size=num_nodes, dtype=np.int64)
         features = random_features(num_nodes, feature_dim, rng)
 
-    if edge_weighted:
-        # per-edge weights (e.g. interaction strengths); weighted graphs
-        # keep duplicate edges since dedup would have to merge weights
-        w = rng.gamma(2.0, 0.5, size=src.shape[0]).astype(np.float32)
-        graph = from_edge_list(
-            src, dst, num_nodes, undirected=True, dedup=False,
-            edge_weights=w,
-        )
-    else:
-        graph = from_edge_list(src, dst, num_nodes, undirected=True,
-                               dedup=True)
+    graph = from_edge_list(src, dst, num_nodes, undirected=True, dedup=True)
 
     perm = rng.permutation(num_nodes).astype(np.int64)
     n_train = max(1, int(round(num_nodes * spec.full_train_nodes / spec.full_nodes)))

@@ -200,24 +200,6 @@ class MultiGpuGraphStore:
                 charge_fill=charge_setup,
             )
 
-        # -- edge-feature storage (optional) -------------------------------------
-        # edge weights live with the source node's edges, same partition as
-        # the indices array (paper §III-B: "node or edge features")
-        self.edge_weight_tensor = None
-        if self.csr.edge_weights is not None:
-            self.edge_weight_tensor = WholeTensor(
-                node,
-                self.num_edges,
-                1,
-                dtype=np.float32,
-                tag="edge_feature",
-                charge_setup=False,
-                rows_per_rank=edges_per_rank,
-            )
-            self.edge_weight_tensor.load_from_host(
-                self.csr.edge_weights.reshape(-1, 1), phase="load"
-            )
-
         # -- labels and splits (host-resident, translated to stored IDs) -------------
         self.labels = dataset.labels[self.partition.to_original]
         self.train_nodes = np.sort(self.partition.to_stored[dataset.train_nodes])
@@ -239,19 +221,6 @@ class MultiGpuGraphStore:
         """Out-degree of stored nodes."""
         return self.csr.degree(stored_nodes)
 
-    def neighbors_concat(self, stored_nodes) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened neighbor lists + per-node counts for a batch."""
-        stored_nodes = np.asarray(stored_nodes, dtype=np.int64)
-        starts, ends = self.csr.edge_slices(stored_nodes)
-        counts = ends - starts
-        total = int(counts.sum())
-        flat = np.empty(total, dtype=np.int64)
-        pos = 0
-        for s, e in zip(starts, ends):
-            flat[pos : pos + (e - s)] = self.csr.indices[s:e]
-            pos += e - s
-        return flat, counts
-
     def rank_of(self, stored_nodes) -> np.ndarray:
         """Owning rank of each stored node."""
         return self.partition.rank_of_stored(stored_nodes)
@@ -270,17 +239,6 @@ class MultiGpuGraphStore:
         if self.feature_cache is not None:
             return self.feature_cache.gather(stored_nodes, rank, phase=phase)
         return self.feature_tensor.gather(stored_nodes, rank, phase=phase)
-
-    def gather_edge_weights(
-        self, edge_positions, rank: int, phase: str = "gather"
-    ) -> np.ndarray:
-        """Gather sampled edges' weights by their edge positions
-        (:attr:`LayerBlock.edge_positions`)."""
-        if self.edge_weight_tensor is None:
-            raise RuntimeError("this store has no edge weights")
-        return self.edge_weight_tensor.gather(
-            edge_positions, rank, phase=phase
-        ).ravel()
 
     # -- elastic recovery ------------------------------------------------------------
 
@@ -325,8 +283,6 @@ class MultiGpuGraphStore:
             self.feature_cache.free()
             self.feature_cache = None
         self.feature_tensor.free()
-        if self.edge_weight_tensor is not None:
-            self.edge_weight_tensor.free()
 
 
 def accounting_only_store(

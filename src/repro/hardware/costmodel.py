@@ -90,17 +90,6 @@ def random_read_bus_bw(segment_bytes: float) -> float:
     return min(segment_bytes * config.RANDOM_READ_BW_SLOPE, config.RANDOM_READ_BW_SAT)
 
 
-def random_read_algo_bw(segment_bytes: float, num_gpus: int) -> float:
-    """AlgoBW seen by a uniform random gather across ``num_gpus`` GPUs.
-
-    Only (N-1)/N of the traffic crosses NVLink, so the algorithm-visible
-    bandwidth exceeds BusBW by N/(N-1)  (paper §IV-C1).
-    """
-    if num_gpus <= 1:
-        return local_random_read_bw(segment_bytes)
-    return random_read_bus_bw(segment_bytes) * num_gpus / (num_gpus - 1)
-
-
 def local_random_read_bw(segment_bytes: float) -> float:
     """Random-read bandwidth out of local HBM (same saturation shape)."""
     slope = config.HBM_RANDOM_READ_BW_SAT / 96.0  # saturate near 96 B segments

@@ -8,7 +8,8 @@ Models the DGX-A100 wiring of paper Fig. 6 as a graph:
   the host, shared by its 2 GPUs (and 2 NICs);
 - the host CPU/DRAM is one endpoint.
 
-`path()` resolves the link sequence between two endpoints;
+`path()` resolves the link sequence between two endpoints by breadth-first
+search;
 `effective_bandwidth()` returns the bottleneck bandwidth of a path given how
 many peers share each hop — this is what makes host->GPU streaming top out at
 16 GB/s per GPU when all 8 GPUs read concurrently (paper §III-B).
@@ -16,9 +17,8 @@ many peers share each hop — this is what makes host->GPU streaming top out at
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.hardware.spec import LinkSpec, NodeSpec
 
@@ -46,28 +46,49 @@ class Topology:
     """Endpoint/link graph with path and bandwidth resolution."""
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        #: endpoint -> kind, in insertion order
+        self.kinds: dict[str, str] = {}
+        #: endpoint -> {neighbour: link}, each in insertion order
+        self.adjacency: dict[str, dict[str, Link]] = {}
         #: per-link bandwidth degradation factors (fault injection): a link
         #: named here delivers ``spec.bandwidth / factor``
         self.degradation: dict[str, float] = {}
 
     def add_endpoint(self, name: str, kind: str) -> None:
-        self.graph.add_node(name, kind=kind)
+        self.kinds[name] = kind
+        self.adjacency.setdefault(name, {})
 
     def add_link(self, a: str, b: str, link: Link) -> None:
-        self.graph.add_edge(a, b, link=link)
+        self.adjacency[a][b] = link
+        self.adjacency[b][a] = link
 
     def endpoints(self, kind: str | None = None) -> list[str]:
-        if kind is None:
-            return list(self.graph.nodes)
-        return [n for n, d in self.graph.nodes(data=True) if d["kind"] == kind]
+        return [n for n, k in self.kinds.items() if kind in (None, k)]
 
     def path(self, src: str, dst: str) -> list[Link]:
-        """Links along the (unique shortest) route from ``src`` to ``dst``."""
-        nodes = nx.shortest_path(self.graph, src, dst)
-        return [
-            self.graph.edges[u, v]["link"] for u, v in zip(nodes, nodes[1:])
-        ]
+        """Links along a shortest route from ``src`` to ``dst``.
+
+        A breadth-first search from ``src`` that visits each endpoint's
+        neighbours in link-insertion order; of several equally short routes
+        it returns the first one that order reaches.  Raises ``ValueError``
+        for an unknown endpoint.
+        """
+        for name in (src, dst):
+            if name not in self.adjacency:
+                raise ValueError(f"unknown endpoint {name!r}")
+        parent = {src: src}
+        queue = deque([src])
+        while dst not in parent:
+            u = queue.popleft()
+            for v in self.adjacency[u]:
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        links = []
+        while dst != src:
+            links.append(self.adjacency[parent[dst]][dst])
+            dst = parent[dst]
+        return links[::-1]
 
     def effective_bandwidth(self, src: str, dst: str, concurrent: bool = True) -> float:
         """Bottleneck bandwidth between two endpoints.
@@ -99,10 +120,17 @@ class Topology:
         self.degradation.clear()
 
     def link_names(self) -> list[str]:
-        """All physical link names in the topology (degradation targets)."""
-        return [
-            d["link"].name for _, _, d in self.graph.edges(data=True)
-        ]
+        """All physical link names in the topology (degradation targets).
+
+        Each link is listed once, from the endpoint added first: endpoints
+        in insertion order, each one's links in insertion order.
+        """
+        seen: set[str] = set()
+        names = []
+        for u, links in self.adjacency.items():
+            names += [link.name for v, link in links.items() if v not in seen]
+            seen.add(u)
+        return names
 
     def latency(self, src: str, dst: str) -> float:
         """Sum of per-hop message latencies along the route."""

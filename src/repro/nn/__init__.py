@@ -19,8 +19,8 @@ from repro.nn.module import Module, Parameter
 from repro.nn.linear import Linear
 from repro.nn.optim import SGD, Adam
 from repro.nn.sparse_optim import RowGrads, SparseAdam, SparseSGD, average_row_grads
-from repro.nn.layers import GCNConv, SAGEConv, GATConv, GINConv
-from repro.nn.models import GCN, GraphSage, GAT, GIN, build_model, MODEL_NAMES, EXTENDED_MODEL_NAMES
+from repro.nn.layers import GCNConv, SAGEConv, GATConv
+from repro.nn.models import GCN, GraphSage, GAT, build_model, MODEL_NAMES
 
 __all__ = [
     "Tensor",
@@ -37,12 +37,9 @@ __all__ = [
     "GCNConv",
     "SAGEConv",
     "GATConv",
-    "GINConv",
     "GCN",
     "GraphSage",
     "GAT",
-    "GIN",
     "build_model",
     "MODEL_NAMES",
-    "EXTENDED_MODEL_NAMES",
 ]

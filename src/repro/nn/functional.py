@@ -113,16 +113,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return nll_loss(log_softmax(logits), targets)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function."""
-    out = np.where(
-        x.data >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(x.data))),
-        np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-    ).astype(np.float32)
-    return Tensor._make(out, (x,), lambda g: (g * out * (1.0 - out),))
-
-
 def binary_cross_entropy_with_logits(
     logits: Tensor, labels: np.ndarray
 ) -> Tensor:
@@ -255,37 +245,6 @@ def spmm_mean(
     return Tensor._make(out, (x,), backward)
 
 
-def spmm_max(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    x: Tensor,
-) -> Tensor:
-    """Max aggregation (GraphSage's pool aggregator).
-
-    Backward is the max subgradient: each output cell routes its gradient
-    to the max-achieving incoming message(s); ties split evenly (with
-    continuous features, ties have measure zero).
-    """
-    from repro.ops.segment import segment_max
-
-    idx = np.asarray(indices, dtype=np.int64)
-    seg_ids = _segment.segment_ids_from_indptr(indptr)
-    msg = x.data[idx]
-    out = segment_max(msg, indptr)
-
-    def backward(g):
-        winners = (msg == out[seg_ids]).astype(np.float32)
-        counts = _segment.segment_sum(winners, indptr)
-        share = winners / np.maximum(counts[seg_ids], 1.0)
-        return (
-            _segment.scatter_add_rows(
-                x.data.shape[0], idx, share * g[seg_ids]
-            ),
-        )
-
-    return Tensor._make(out, (x,), backward)
-
-
 def edge_softmax(indptr: np.ndarray, logits: Tensor) -> Tensor:
     """Softmax over each target's incoming edges (GAT attention).
 
@@ -327,29 +286,3 @@ def edge_gather_add(
         return (g_dst, g_src)
 
     return Tensor._make(out, (dst_values, src_values), backward)
-
-
-def graph_readout(h: Tensor, graph_offsets: np.ndarray,
-                  mode: str = "mean") -> Tensor:
-    """Pool node embeddings into per-graph embeddings (graph-level tasks).
-
-    ``graph_offsets`` partitions the batched node space (``BatchedGraphs``);
-    ``mode`` is ``"mean"`` or ``"sum"``.
-    """
-    offsets = np.asarray(graph_offsets, dtype=np.int64)
-    seg_ids = _segment.segment_ids_from_indptr(offsets)
-    sums = _segment.segment_sum(h.data, offsets)
-    counts = np.maximum(np.diff(offsets), 1).astype(np.float32)
-    if mode == "sum":
-        def backward(g):
-            return (g[seg_ids],)
-
-        return Tensor._make(sums, (h,), backward)
-    if mode == "mean":
-        out = sums / counts[:, None]
-
-        def backward(g):
-            return ((g / counts[:, None])[seg_ids],)
-
-        return Tensor._make(out, (h,), backward)
-    raise ValueError("mode must be 'mean' or 'sum'")

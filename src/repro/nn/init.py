@@ -14,15 +14,6 @@ def xavier_uniform(
     return rng.uniform(-a, a, size=shape).astype(np.float32)
 
 
-def kaiming_uniform(
-    shape: tuple[int, ...], rng: np.random.Generator
-) -> np.ndarray:
-    """He uniform for ReLU nets."""
-    fan_in, _ = _fans(shape)
-    a = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-a, a, size=shape).astype(np.float32)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
 

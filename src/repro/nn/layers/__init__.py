@@ -1,9 +1,7 @@
-"""Optimised GNN layer ops (paper §III-C4): GCN, GraphSage, GAT — plus the
-GIN extension layer."""
+"""Optimised GNN layer ops (paper §III-C4): GCN, GraphSage and GAT."""
 
 from repro.nn.layers.gcn import GCNConv
 from repro.nn.layers.sage import SAGEConv
 from repro.nn.layers.gat import GATConv
-from repro.nn.layers.gin import GINConv
 
-__all__ = ["GCNConv", "SAGEConv", "GATConv", "GINConv"]
+__all__ = ["GCNConv", "SAGEConv", "GATConv"]

@@ -3,8 +3,7 @@
     h_t = W_self · x_t + W_neigh · agg_{s∈S(t)} x_s
 
 "There are several aggregation types for GraphSage.  We use the mean
-aggregation" (paper §IV "GNN Models") — mean is the default here, with the
-max-pool aggregator available as an option.
+aggregation" (paper §IV "GNN Models").
 """
 
 from __future__ import annotations
@@ -17,28 +16,20 @@ from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.ops.neighbor_sampler import LayerBlock
 
-AGGREGATORS = ("mean", "max")
-
 
 class SAGEConv(Module):
     """One GraphSage layer over a :class:`LayerBlock`."""
 
     def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, aggregator: str = "mean"):
+                 rng: np.random.Generator):
         super().__init__()
-        if aggregator not in AGGREGATORS:
-            raise ValueError(f"aggregator must be one of {AGGREGATORS}")
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.aggregator = aggregator
         self.linear_self = Linear(in_features, out_features, rng)
         self.linear_neigh = Linear(in_features, out_features, rng, bias=False)
 
     def forward(self, block: LayerBlock, x: Tensor) -> Tensor:
-        if self.aggregator == "mean":
-            neigh = F.spmm_mean(block.indptr, block.indices, x)
-        else:
-            neigh = F.spmm_max(block.indptr, block.indices, x)
+        neigh = F.spmm_mean(block.indptr, block.indices, x)
         x_self = F.slice_rows(x, block.num_targets)
         return self.linear_self(x_self) + self.linear_neigh(neigh)
 

@@ -14,15 +14,13 @@ import numpy as np
 from repro import config
 from repro.hardware import costmodel
 from repro.nn import functional as F
-from repro.nn.layers import GATConv, GCNConv, GINConv, SAGEConv
+from repro.nn.layers import GATConv, GCNConv, SAGEConv
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.ops.neighbor_sampler import SampledSubgraph
 
 #: the paper's evaluation trio
 MODEL_NAMES = ("gcn", "graphsage", "gat")
-#: everything the factory can build (extensions included)
-EXTENDED_MODEL_NAMES = MODEL_NAMES + ("gin",)
 
 
 class _BlockModel(Module):
@@ -145,19 +143,6 @@ class GraphSage(_BlockModel):
         ]
 
 
-class GIN(_BlockModel):
-    """Graph isomorphism network — extension beyond the paper's trio."""
-
-    def __init__(self, in_features: int, hidden: int, num_classes: int,
-                 num_layers: int, rng: np.random.Generator,
-                 dropout: float = 0.5):
-        super().__init__(dropout)
-        dims = [in_features] + [hidden] * (num_layers - 1) + [num_classes]
-        self.convs = [
-            GINConv(dims[i], dims[i + 1], rng) for i in range(num_layers)
-        ]
-
-
 class GAT(_BlockModel):
     """Multi-head graph attention network (4 heads in the paper)."""
 
@@ -201,9 +186,6 @@ def build_model(
     if name == "gat":
         return GAT(in_features, hidden, num_classes, num_layers, rng,
                    dropout=dropout)
-    if name == "gin":
-        return GIN(in_features, hidden, num_classes, num_layers, rng,
-                   dropout)
     raise ValueError(
-        f"unknown model {name!r}; expected one of {EXTENDED_MODEL_NAMES}"
+        f"unknown model {name!r}; expected one of {MODEL_NAMES}"
     )

@@ -113,9 +113,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- shape ----------------------------------------------------------------------
 
     @property

@@ -18,7 +18,6 @@
 from repro.ops.sampling import (
     parallel_sample_without_replacement,
     batch_sample_without_replacement,
-    batch_sample_with_replacement,
     reference_sample_without_replacement,
 )
 from repro.ops.hashtable import GpuHashTable
@@ -35,7 +34,6 @@ from repro.ops.gather import (
 )
 from repro.ops.segment import (
     segment_sum,
-    segment_mean,
     segment_max,
     segment_softmax,
 )
@@ -50,7 +48,6 @@ from repro.ops.negative_sampling import (
 __all__ = [
     "parallel_sample_without_replacement",
     "batch_sample_without_replacement",
-    "batch_sample_with_replacement",
     "reference_sample_without_replacement",
     "GpuHashTable",
     "AppendUniqueResult",
@@ -62,7 +59,6 @@ __all__ = [
     "distributed_memory_gather",
     "DistributedGatherTrace",
     "segment_sum",
-    "segment_mean",
     "segment_max",
     "segment_softmax",
     "gspmm_sum",

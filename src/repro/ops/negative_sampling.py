@@ -14,21 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.ops.segment import segment_ids_from_indptr
-
-
-def sort_rows(csr: CSRGraph) -> CSRGraph:
-    """Return a copy of ``csr`` with each neighbor list sorted ascending.
-
-    Vectorised as one lexsort over (row, neighbor) — no per-row loop.
-    """
-    rows = segment_ids_from_indptr(csr.indptr)
-    order = np.lexsort((csr.indices, rows))
-    weights = (
-        None if csr.edge_weights is None else csr.edge_weights[order]
-    )
-    return CSRGraph(csr.indptr.copy(), csr.indices[order],
-                    edge_weights=weights, num_nodes=csr.num_nodes)
 
 
 def edges_exist(csr: CSRGraph, src, dst) -> np.ndarray:

@@ -38,8 +38,7 @@ def sample_layer(
     ``flat_neighbors`` holds each target's sampled neighbors contiguously in
     target order, ``counts`` is per-target (``min(degree, fanout)``), and
     ``edge_positions`` gives each sampled edge's index into the graph's
-    ``indices`` array — the handle for fetching per-edge features/weights,
-    which WholeGraph stores alongside the edges (paper §III-B).
+    ``indices`` array.
     """
     targets = np.asarray(targets, dtype=np.int64)
     starts = indptr[targets]
@@ -87,9 +86,6 @@ class LayerBlock:
     num_targets: int
     num_src: int
     duplicate_counts: np.ndarray
-    #: per-sampled-edge index into the parent graph's edge array, for
-    #: fetching edge features/weights stored with the source node
-    edge_positions: np.ndarray | None = None
 
     @property
     def num_edges(self) -> int:
@@ -162,7 +158,7 @@ class NeighborSampler:
         blocks: list[LayerBlock] = []
         for fanout in self.fanouts:
             targets = frontiers[-1]
-            flat, counts, positions = sample_layer(
+            flat, counts, _ = sample_layer(
                 store.csr.indptr, store.csr.indices, targets, fanout, rng
             )
             if self.unique_impl == "hash":
@@ -181,7 +177,6 @@ class NeighborSampler:
                     num_targets=targets.shape[0],
                     num_src=uni.num_unique,
                     duplicate_counts=uni.duplicate_counts,
-                    edge_positions=positions,
                 )
             )
             frontiers.append(uni.unique_nodes)

@@ -147,36 +147,12 @@ def batch_sample_without_replacement(
     return res.reshape(b, m)
 
 
-def batch_sample_with_replacement(
-    neighbor_counts: np.ndarray,
-    max_sample: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """With-replacement neighbor sampling (the cheaper variant some
-    frameworks default to for very high fan-outs).
-
-    Trivially parallel — every lane draws independently — at the cost of
-    duplicate neighbors per target, which inflates downstream AppendUnique
-    and gather work.  Provided for completeness and the sampler ablations;
-    WholeGraph itself samples *without* replacement (paper §III-C1).
-    """
-    counts = np.asarray(neighbor_counts, dtype=np.int64)
-    m = int(max_sample)
-    b = counts.shape[0]
-    if m == 0 or b == 0:
-        return np.empty((b, m), dtype=np.int64)
-    if np.any(counts < 1):
-        raise ValueError("every row needs at least one neighbor")
-    return (rng.random((b, m)) * counts[:, None]).astype(np.int64)
-
-
 def reference_sample_without_replacement(
     neighbor_count: int, max_sample: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sequential reference sampler (Fisher–Yates partial shuffle).
 
-    The oracle the parallel sampler is property-tested against, and the
-    sampler the CPU baselines (DGL/PyG pipelines) use functionally.
+    The oracle the parallel sampler is property-tested against.
     """
     n, m = int(neighbor_count), int(max_sample)
     if m >= n:

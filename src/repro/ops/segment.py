@@ -65,16 +65,6 @@ def scatter_add_rows(
     return out.reshape((num_rows,) + values.shape[1:])
 
 
-def segment_mean(values: np.ndarray, indptr) -> np.ndarray:
-    """Per-segment mean; empty segments produce zeros."""
-    values = np.asarray(values)
-    indptr = np.asarray(indptr, dtype=np.int64)
-    s = segment_sum(values, indptr)
-    counts = (indptr[1:] - indptr[:-1]).astype(s.dtype)
-    counts = np.maximum(counts, 1)
-    return s / counts.reshape((-1,) + (1,) * (values.ndim - 1))
-
-
 def _nonempty_reduceat(ufunc, values, indptr, n):
     """Apply ``ufunc.reduceat`` over the non-empty segments only.
 

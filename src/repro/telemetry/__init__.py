@@ -10,17 +10,13 @@ The observability stack, bottom-up:
 - :mod:`repro.telemetry.run_report` bundles config + phase breakdown +
   bandwidths + metrics snapshot into the per-run JSON manifest that
   ``benchmarks/compare_runs.py`` diffs between commits;
-- utilization / bandwidth / cache / profiler are the derived views the
-  paper figures are read from.
+- utilization / bandwidth / cache are the derived views the paper figures
+  are read from.
 """
 
 from repro.telemetry.utilization import utilization_trace, mean_utilization
 from repro.telemetry.bandwidth import algo_bw, bus_bw, bw_from_gather_stats
-from repro.telemetry.cache import (
-    cache_report,
-    cache_summary,
-    per_rank_cache_stats,
-)
+from repro.telemetry.cache import cache_report, per_rank_cache_stats
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -40,7 +36,6 @@ __all__ = [
     "bus_bw",
     "bw_from_gather_stats",
     "cache_report",
-    "cache_summary",
     "per_rank_cache_stats",
     "Counter",
     "Gauge",

@@ -2,18 +2,12 @@
 
 The hot-row cache (:mod:`repro.dsm.feature_cache`) keeps cumulative per-rank
 counters; this module turns them into the same report shapes the rest of the
-telemetry package produces — a per-rank table plus an aggregate summary dict
-for experiment drivers.
+telemetry package produces: per-rank stats and a per-rank table.
 """
 
 from __future__ import annotations
 
 from repro.telemetry.report import format_table
-
-
-def cache_summary(cache) -> dict:
-    """Aggregate hit/miss statistics of a :class:`FeatureCache`."""
-    return cache.summary()
 
 
 def per_rank_cache_stats(cache) -> list[dict]:

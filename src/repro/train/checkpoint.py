@@ -45,7 +45,9 @@ def save_checkpoint(path, model: Module, optimizer: Optimizer,
 def load_checkpoint(path, model: Module, optimizer: Optimizer) -> dict:
     """Restore ``model`` and ``optimizer`` in place; returns metadata.
 
-    Raises ``ValueError`` on shape or optimizer-kind mismatch.
+    Raises ``ValueError`` on an optimizer-kind, parameter-count or shape
+    mismatch; every check runs before anything is written, so a rejected
+    load leaves the model and the optimizer as they were.
     """
     path = pathlib.Path(path)
     with np.load(path, allow_pickle=False) as data:
@@ -59,13 +61,19 @@ def load_checkpoint(path, model: Module, optimizer: Optimizer) -> dict:
                 f"got {type(optimizer).__name__}"
             )
         params = model.parameters()
-        for i, p in enumerate(params):
-            saved = data[f"param_{i}"]
-            if saved.shape != p.data.shape:
+        count = sum(key.startswith("param_") for key in data.files)
+        if count != len(params):
+            raise ValueError(
+                f"checkpoint has {count} parameters, model has {len(params)}"
+            )
+        saved = [data[f"param_{i}"] for i in range(count)]
+        for i, (s, p) in enumerate(zip(saved, params)):
+            if s.shape != p.data.shape:
                 raise ValueError(
-                    f"parameter {i} shape {saved.shape} != {p.data.shape}"
+                    f"parameter {i} shape {s.shape} != {p.data.shape}"
                 )
-            p.data[...] = saved
+        for s, p in zip(saved, params):
+            p.data[...] = s
         if isinstance(optimizer, Adam):
             optimizer.t = int(data["_adam_t"])
             for i in range(len(params)):

@@ -5,9 +5,8 @@ from repro.utils.ids import (
     make_global_ids,
     split_global_ids,
     rank_of,
-    local_of,
 )
-from repro.utils.scan import exclusive_prefix_sum, inclusive_prefix_sum
+from repro.utils.scan import exclusive_prefix_sum
 from repro.utils.rng import RngPool, spawn_rng
 from repro.utils.units import format_bytes, format_seconds
 
@@ -16,9 +15,7 @@ __all__ = [
     "make_global_ids",
     "split_global_ids",
     "rank_of",
-    "local_of",
     "exclusive_prefix_sum",
-    "inclusive_prefix_sum",
     "RngPool",
     "spawn_rng",
     "format_bytes",

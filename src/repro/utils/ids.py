@@ -60,7 +60,3 @@ def rank_of(global_ids) -> np.ndarray:
     """Return the owning rank of each GlobalID."""
     return np.asarray(global_ids, dtype=np.int64) >> _LOCAL_BITS
 
-
-def local_of(global_ids) -> np.ndarray:
-    """Return the local index of each GlobalID on its owning rank."""
-    return np.asarray(global_ids, dtype=np.int64) & _LOCAL_MASK

@@ -2,7 +2,7 @@
 
 The AppendUnique op (paper §III-C2) assigns contiguous sub-graph IDs to
 unique neighbor nodes by running an *exclusive prefix sum* over per-bucket
-counts.  These helpers are the NumPy equivalents of the GPU scan kernels.
+counts.  This helper is the NumPy equivalent of the GPU scan kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +24,3 @@ def exclusive_prefix_sum(values) -> np.ndarray:
     np.cumsum(v[:-1], out=out[1:])
     return out
 
-
-def inclusive_prefix_sum(values) -> np.ndarray:
-    """Inclusive prefix sum: ``out[i] = sum(values[:i+1])``."""
-    return np.cumsum(np.asarray(values, dtype=np.int64))

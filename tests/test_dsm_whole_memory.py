@@ -127,14 +127,6 @@ def test_whole_memory_setup_time_charged(node: SimNode):
     assert all(c.now > 0 for c in node.gpu_clock)
 
 
-def test_whole_memory_rank_of_offset(node: SimNode):
-    wm = WholeMemory(node, [10, 20, 30, 40, 0, 0, 0, 0], tag="x",
-                     charge_setup=False)
-    assert wm.rank_of_offset([0, 9]).tolist() == [0, 0]
-    assert wm.rank_of_offset([10, 29]).tolist() == [1, 1]
-    assert wm.rank_of_offset([30]).tolist() == [2]
-
-
 def test_whole_memory_free_releases(node: SimNode):
     wm = WholeMemory(node, 800, tag="x", charge_setup=False)
     wm.free()

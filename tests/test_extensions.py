@@ -1,5 +1,5 @@
-"""Extensions: host-pinned storage, edge features, link prediction,
-multi-node cluster training."""
+"""Extensions: host-pinned storage, link prediction, multi-node cluster
+training."""
 
 import tracemalloc
 
@@ -16,9 +16,7 @@ from repro.ops.negative_sampling import (
     edges_exist,
     sample_negative_edges,
     sample_positive_edges,
-    sort_rows,
 )
-from repro.ops.neighbor_sampler import NeighborSampler
 from repro.train.metrics import roc_auc
 from tests.test_nn_tensor import numeric_grad
 
@@ -85,76 +83,10 @@ def test_trainer_runs_on_host_pinned_store(small_dataset):
     assert np.isfinite(stats.mean_loss)
 
 
-# -- edge features --------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def weighted_store():
-    ds = load_dataset("ogbn-products", num_nodes=1500, seed=2,
-                      feature_dim=8, num_classes=4, edge_weighted=True)
-    return MultiGpuGraphStore(SimNode(), ds, seed=0)
-
-
-def test_edge_weights_partitioned_and_gatherable(weighted_store, rng):
-    store = weighted_store
-    assert store.edge_weight_tensor is not None
-    sampler = NeighborSampler(store, [4], charge=False)
-    sg = sampler.sample(store.train_nodes[:16], 0, rng)
-    blk = sg.blocks[0]
-    w = store.gather_edge_weights(blk.edge_positions, 0)
-    assert np.allclose(w, store.csr.edge_weights[blk.edge_positions])
-    assert np.all(w > 0)
-
-
-def test_edge_weights_follow_permutation(weighted_store):
-    """Permuted CSR carries each edge's weight with it."""
-    store = weighted_store
-    ds_graph = store.dataset.graph
-    # pick a stored node, map back, compare weight multisets per node
-    for stored in (0, 100, 1499):
-        orig = store.partition.to_original[stored]
-        s, e = store.csr.indptr[stored], store.csr.indptr[stored + 1]
-        so, eo = ds_graph.indptr[orig], ds_graph.indptr[orig + 1]
-        assert np.allclose(
-            np.sort(store.csr.edge_weights[s:e]),
-            np.sort(ds_graph.edge_weights[so:eo]),
-        )
-
-
-def test_weighted_spmm_through_sampled_block(weighted_store, rng):
-    store = weighted_store
-    sampler = NeighborSampler(store, [4], charge=False)
-    sg = sampler.sample(store.train_nodes[:8], 0, rng)
-    blk = sg.blocks[0]
-    w = store.gather_edge_weights(blk.edge_positions, 0)
-    x = Tensor(store.feature_tensor.gather_no_cost(sg.frontiers[1]),
-               requires_grad=True)
-    out = F.spmm_sum(blk.indptr, blk.indices, x, edge_weights=Tensor(w))
-    # reference
-    ref = np.zeros((blk.num_targets, 8), dtype=np.float32)
-    for t in range(blk.num_targets):
-        for e in range(blk.indptr[t], blk.indptr[t + 1]):
-            ref[t] += w[e] * x.data[blk.indices[e]]
-    assert np.allclose(out.data, ref, atol=1e-4)
-
-
-def test_unweighted_store_rejects_edge_gather(small_store):
-    with pytest.raises(RuntimeError):
-        small_store.gather_edge_weights(np.array([0]), 0)
-
-
 # -- link prediction pieces --------------------------------------------------------------
 
-def test_sort_rows_preserves_multiset(small_dataset):
-    g = small_dataset.graph
-    s = sort_rows(g)
-    assert np.array_equal(np.sort(g.indices), np.sort(s.indices))
-    for r in (0, 10, 500):
-        lo, hi = s.indptr[r], s.indptr[r + 1]
-        assert np.all(np.diff(s.indices[lo:hi]) >= 0)
-
-
 def test_edges_exist_matches_truth(small_dataset, rng):
-    g = sort_rows(small_dataset.graph)
+    g = small_dataset.graph
     # positives must exist
     src, dst = sample_positive_edges(g, 200, rng)
     assert edges_exist(g, src, dst).all()
@@ -167,21 +99,24 @@ def test_edges_exist_matches_truth(small_dataset, rng):
 def test_negative_edges_are_non_edges(small_dataset, rng):
     g = small_dataset.graph
     src, dst = sample_negative_edges(g, 300, rng)
-    assert not edges_exist(sort_rows(g), src, dst).any()
+    assert not edges_exist(g, src, dst).any()
     assert np.all(src != dst)
 
 
 def test_edges_exist_needs_no_row_sort(small_dataset, rng):
     g = small_dataset.graph
-    # sort every neighbor list descending, so no row is ascending
+    # sort every neighbor list descending, so no row is ascending, and
+    # compare with every list sorted ascending
     rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
     shuffled = CSRGraph(g.indptr, g.indices[np.lexsort((-g.indices, rows))],
                         num_nodes=g.num_nodes)
+    ascending = CSRGraph(g.indptr, g.indices[np.lexsort((g.indices, rows))],
+                         num_nodes=g.num_nodes)
     src = rng.integers(0, g.num_nodes, size=500)
     dst = rng.integers(0, g.num_nodes, size=500)
     src[:250], dst[:250] = sample_positive_edges(g, 250, rng)
     assert np.array_equal(edges_exist(shuffled, src, dst),
-                          edges_exist(sort_rows(g), src, dst))
+                          edges_exist(ascending, src, dst))
 
 
 def _negative_edges_reference(csr, num_samples, rng, max_rounds=32):
@@ -263,18 +198,6 @@ def test_bce_grad(rng):
             F.binary_cross_entropy_with_logits(Tensor(z), y).data
         ),
         z,
-    )
-    assert np.allclose(t.grad, num, atol=1e-2)
-
-
-def test_sigmoid_values_and_grad(rng):
-    x = rng.standard_normal((4, 3)).astype(np.float32)
-    out = F.sigmoid(Tensor(x))
-    assert np.allclose(out.data, 1 / (1 + np.exp(-x)), atol=1e-5)
-    t = Tensor(x, requires_grad=True)
-    F.sigmoid(t).sum().backward()
-    num = numeric_grad(
-        lambda: float(F.sigmoid(Tensor(x)).sum().data), x
     )
     assert np.allclose(t.grad, num, atol=1e-2)
 

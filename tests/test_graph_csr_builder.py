@@ -54,19 +54,10 @@ def test_builder_rejects_out_of_range():
         from_edge_list([0], [5], num_nodes=3)
 
 
-def test_builder_weights_incompatible_with_dedup():
-    with pytest.raises(ValueError):
-        from_edge_list([0], [1], 2, dedup=True, edge_weights=[1.0])
-
-
-def test_builder_keeps_weights_aligned():
-    g = from_edge_list(
-        [2, 0, 1], [0, 1, 2], 3, undirected=False, dedup=False,
-        edge_weights=[2.0, 0.5, 1.5],
-    )
-    # edges sorted by src: (0,1,w=0.5), (1,2,w=1.5), (2,0,w=2.0)
+def test_builder_without_dedup_orders_edges_by_source():
+    g = from_edge_list([2, 0, 1], [0, 1, 2], 3, undirected=False, dedup=False)
+    # edges sorted by src: (0,1), (1,2), (2,0)
     assert g.indices.tolist() == [1, 2, 0]
-    assert g.edge_weights.tolist() == [0.5, 1.5, 2.0]
 
 
 def test_csr_degree_and_neighbors():

@@ -82,7 +82,7 @@ def test_store_features_match_dataset(small_store, small_dataset):
 def test_store_neighbors_match_dataset(small_store, small_dataset):
     for stored in [0, 5, 999]:
         orig = small_store.partition.to_original[stored]
-        flat, counts = small_store.neighbors_concat([stored])
+        flat = small_store.csr.neighbors(stored)
         got = np.sort(small_store.partition.to_original[flat])
         assert np.array_equal(got, np.sort(small_dataset.graph.neighbors(orig)))
 

