@@ -155,11 +155,11 @@ def default_knobs(timelines) -> list[Knob]:
 
     Phase knobs halve one cost category; the NVLink knob doubles remote
     bandwidth (gather spans shrink by their remote-byte share, collectives
-    halve); the straggler knob undoes fault dilation exactly, using the
-    ``dilation`` factor the clock stamps on scaled spans — and is only
-    offered when a dilated span exists.  The host-bandwidth knob (doubled
-    zero-copy PCIe + disk staging rate) is likewise only offered when an
-    out-of-core span exists.
+    halve); the straggler knob divides each scaled span by the
+    ``dilation`` factor the clock stamps on it (the replayed epoch lands
+    near a clean run's, not on it) — and is only offered when a dilated
+    span exists.  The host-bandwidth knob (doubled zero-copy PCIe + disk
+    staging rate) is likewise only offered when an out-of-core span exists.
     """
     knobs = [
         _phase_knob("gather_2x", "feature gather 2x faster",
