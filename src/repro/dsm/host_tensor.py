@@ -56,8 +56,11 @@ class HostPinnedTensor:
         return self.num_rows * self.row_bytes
 
     def load_from_host(self, array: np.ndarray, phase: str = "load") -> float:
-        """Populate from a host array (a memcpy within DRAM — no PCIe)."""
-        self._data[:] = np.asarray(array, dtype=self.dtype).reshape(
+        """Populate from a host array (already in DRAM — no PCIe).
+
+        The tensor keeps ``array`` itself as its pinned rows.
+        """
+        self._data = np.asarray(array, dtype=self.dtype).reshape(
             self.num_rows, self.num_cols
         )
         return 0.0

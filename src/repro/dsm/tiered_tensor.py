@@ -143,9 +143,10 @@ class TieredTensor:
     # -- load ------------------------------------------------------------------
 
     def load_from_host(self, array: np.ndarray, phase: str = "load") -> float:
-        """Populate from a host array (DRAM memcpy + disk write-behind —
-        charged to nobody, matching ``HostPinnedTensor.load_from_host``)."""
-        self._data[:] = np.asarray(array, dtype=self.dtype).reshape(
+        """Populate from a host array, which the tensor keeps as its rows
+        (disk write-behind charged to nobody, matching
+        ``HostPinnedTensor.load_from_host``)."""
+        self._data = np.asarray(array, dtype=self.dtype).reshape(
             self.num_rows, self.num_cols
         )
         return 0.0

@@ -88,7 +88,7 @@ class WholeMemory:
             handles.append(ipc_get_mem_handle(rank, buf))
         self._handles = handles
         self.materialized = False
-        self.storage: np.ndarray | None = None  # set by materialize()
+        self.storage: np.ndarray | None = None  # set by attach()
 
         # Step 2: AllGather of handles — after this every rank holds the
         # full handle list (simulated synchronously).
@@ -114,17 +114,24 @@ class WholeMemory:
         self._freed = False
 
     def materialize(self) -> None:
-        """Back every partition with zeroed host bytes (idempotent).
+        """Back every partition with zeroed host bytes (idempotent)."""
+        if not self.materialized:
+            self.attach(np.zeros(self.total_bytes, dtype=np.uint8))
 
-        The partitions become consecutive views of one contiguous host
-        buffer, :attr:`storage`, in rank order, so a global access can
-        compute one flat offset per request and index once.  The IPC
-        handles and pointer tables are re-pointed at the per-rank views in
-        place, so peers keep their mappings and nothing is charged.
+    def attach(self, storage: np.ndarray) -> None:
+        """Back the partitions with consecutive views of ``storage``.
+
+        ``storage`` is one contiguous ``uint8`` host buffer of
+        :attr:`total_bytes` in rank order, so a global access can compute
+        one flat offset per request and index once.  The IPC handles and
+        pointer tables are re-pointed at the per-rank views in place, so
+        peers keep their mappings and nothing is charged.
         """
-        if self.materialized:
-            return
-        self.storage = np.zeros(self.total_bytes, dtype=np.uint8)
+        if storage.nbytes != self.total_bytes:
+            raise ValueError(
+                f"storage has {storage.nbytes} bytes, need {self.total_bytes}"
+            )
+        self.storage = storage
         bounds = np.cumsum([0, *self.partition_sizes])
         for rank in range(len(self.partition_sizes)):
             buf = self.storage[bounds[rank]:bounds[rank + 1]]

@@ -194,27 +194,31 @@ class WholeTensor:
         """Populate the tensor from a host array, charging PCIe streams.
 
         Each rank DMA-copies its own partition concurrently; returns the
-        simulated per-rank transfer time.
+        simulated per-rank transfer time.  A block tensor keeps ``array``
+        itself as its host bytes (its rank-major order is row order), so a
+        caller that goes on writing ``array`` passes a copy; a cyclic one
+        copies the strided rows into its own buffer.
         """
         self._require_data()
         array = np.ascontiguousarray(array, dtype=self.dtype).reshape(
             self.num_rows, self.num_cols
         )
+        n = self.node.num_gpus
+        if self.partition == "block":
+            self.memory.attach(array.reshape(-1).view(np.uint8))
+            self._flat = array
+        else:
+            for rank in range(n):
+                self.local_part(rank)[:] = array[rank::n]
         t = 0.0
-        for rank in range(self.node.num_gpus):
-            if self.partition == "cyclic":
-                part = array[rank :: self.node.num_gpus]
-            else:
-                lo, hi = self.row_offsets[rank], self.row_offsets[rank + 1]
-                part = array[lo:hi]
-            self.local_part(rank)[:] = part
+        for rank in range(n):
+            rows = self.rows_per_rank[rank]
             t = costmodel.pcie_host_to_gpu_time(
-                part.shape[0] * self.row_bytes, shared=True
+                rows * self.row_bytes, shared=True
             )
             self.node.gpu_clock[rank].advance(
                 t, phase=phase, category="pcie",
-                args={"rows": int(part.shape[0]),
-                      "bytes": int(part.shape[0] * self.row_bytes),
+                args={"rows": rows, "bytes": rows * self.row_bytes,
                       "tensor": self.tag},
             )
         self.node.sync()

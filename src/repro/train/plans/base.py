@@ -288,21 +288,29 @@ class ParallelismPlan:
         """
         t = self.trainer
         losses, trained = [], []
-        for loader, batch, ahead in zip(loaders, batches, upcoming):
+        last = min(len(loaders), len(batches)) - 1
+        for j, (loader, batch, ahead) in enumerate(
+            zip(loaders, batches, upcoming)
+        ):
             loss, train_t = train_step(
                 loader, batch, ahead, train_time_factor=t.layer_cost_factor
             )
-            losses.append(loss)
+            # at most one autograd graph stays alive: a replica's graph is
+            # freed once its backward has run (``del`` drops the loop
+            # variable, which would hold it through the next replica's
+            # step).  The last replica's graph lives to the round's end, as
+            # the link-prediction step always did: freeing it before the
+            # sparse update measurably slowed the recsys-linkpred benchmark
+            losses.append(loss if j == last else float(loss.data))
+            del loss
             trained.append((loader.replica, train_t))
         self.sync_gradients(trained)
         replicas = self.replicas
         for r in replicas:
             r.optimizer.step()
         t._task.update(replicas)
-        # the loss tensors keep their autograd graphs alive until the round
-        # ends, as the link-prediction step always did: freeing them before
-        # the sparse update measurably slowed the recsys-linkpred benchmark
-        return [float(loss.data) for loss in losses]
+        losses[-1] = float(losses[-1].data)
+        return losses
 
     def report_config(self) -> dict:
         """Config keys this plan adds to the run manifest.

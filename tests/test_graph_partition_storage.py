@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.dsm import WholeTensor
 from repro.graph import MultiGpuGraphStore, hash_partition, load_dataset
 from repro.graph.partition import splitmix64
-from repro.hardware import SimNode
+from repro.hardware import SimNode, dgx_a100
 
 
 @given(st.integers(min_value=1, max_value=3000),
@@ -106,6 +107,54 @@ def test_store_structure_lives_in_dsm(small_store):
         elo, ehi = csr.indptr[lo], csr.indptr[hi]
         part = small_store.indices_tensor.local_part(rank).ravel()
         assert np.array_equal(part, csr.indices[elo:ehi])
+
+
+def _host_array(tensor) -> np.ndarray:
+    """The host bytes behind a store tensor."""
+    if isinstance(tensor, WholeTensor):
+        return tensor.memory.storage
+    return tensor._data
+
+
+@pytest.mark.parametrize("tier", ["device", "host_pinned", "tiered"])
+def test_store_tensors_hold_the_store_arrays(small_dataset, tier):
+    """The DSM tensors keep the store's stored-order arrays as their host
+    bytes: one host copy of the CSR and of the features per store."""
+    store = MultiGpuGraphStore(SimNode(), small_dataset, seed=0, tier=tier)
+    for tensor, array in [
+        (store.indptr_tensor, store.csr.indptr),
+        (store.indices_tensor, store.csr.indices),
+        (store.feature_tensor, store.features),
+    ]:
+        assert np.shares_memory(_host_array(tensor), array)
+    assert np.array_equal(
+        store.features,
+        small_dataset.features[store.partition.to_original],
+    )
+
+
+def test_shrunk_store_repartitions_without_sharing(small_store):
+    """A rebuild onto fewer GPUs re-partitions into arrays of its own."""
+    shrunk = small_store.rebuild_on(SimNode(dgx_a100(6)))
+    assert shrunk.partition.counts.size == 6
+    assert not np.array_equal(
+        shrunk.partition.to_stored, small_store.partition.to_stored
+    )
+    pairs = [
+        (shrunk.csr.indptr, small_store.csr.indptr),
+        (shrunk.csr.indices, small_store.csr.indices),
+        (shrunk.features, small_store.features),
+        (shrunk.labels, small_store.labels),
+        (shrunk.train_nodes, small_store.train_nodes),
+        (shrunk.partition.to_stored, small_store.partition.to_stored),
+    ]
+    for name in ("indptr_tensor", "indices_tensor", "feature_tensor"):
+        pairs.append((
+            _host_array(getattr(shrunk, name)),
+            _host_array(getattr(small_store, name)),
+        ))
+    for a, b in pairs:
+        assert not np.shares_memory(a, b)
 
 
 def test_store_edges_partitioned_with_source(small_store):
