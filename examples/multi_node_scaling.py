@@ -4,16 +4,17 @@ Reproduces the paper's §IV-D anchor: "we can train 80 epochs of a 3-layer
 GraphSAGE model with a hidden size of 256 and a sample count of 30,30,30 on
 the ogbn-papers100M dataset in 66 seconds with 8 DGX-A100 servers."
 
-Measures the single-node iteration time at the paper's hyper-parameters,
-predicts the 1/2/4/8-node epoch times with the replicated-store +
-hierarchical-all-reduce model (paper §III-D), and prints the 80-epoch
-figure next to the paper's.
+Trains a few rounds of the cluster plan (one full store replica per machine
+node, the gradient all-reduce overlapped with backward; paper §III-D) at
+1/2/4/8 machine nodes with the paper's hyper-parameters, scales each to the
+full-scale epoch, and prints the 80-epoch figure next to the paper's.
 
 Run:  python examples/multi_node_scaling.py
 """
 
-from repro.cluster import scaling_curve
-from repro.experiments.common import measure_wholegraph
+import math
+
+from repro.experiments import fig13_scaling
 from repro.graph.datasets import dataset_spec
 from repro.telemetry.report import format_table
 
@@ -23,36 +24,23 @@ MODEL = "graphsage"
 
 def main() -> None:
     spec = dataset_spec(DATASET)
-    print(f"measuring single-node iteration time for {MODEL} on {DATASET}…")
-    measured, _ = measure_wholegraph(
-        DATASET, MODEL, num_nodes=20_000, iterations=3
-    )
-    print(
-        f"single-node: {measured.iter_time*1e3:.2f} ms/iteration, "
-        f"{spec.full_iterations_per_epoch} iterations per full-scale epoch\n"
-    )
-
-    grad_nbytes = (
-        (spec.feature_dim * 256 + 256 * 256 + 256 * spec.num_classes) * 4
-    )
-    points = scaling_curve(
-        measured.iter_time,
-        spec.full_iterations_per_epoch,
-        grad_nbytes,
-        node_counts=(1, 2, 4, 8),
+    print(f"training {MODEL} on {DATASET} at 1/2/4/8 machine nodes…")
+    (row,) = fig13_scaling.run(
+        datasets=(DATASET,), models=(MODEL,), num_nodes=20_000,
+        iterations=2,
     )
     print(format_table(
-        ["Nodes", "GPUs", "iters/epoch", "epoch time (s)", "speedup",
+        ["Nodes", "GPUs", "rounds/epoch", "epoch time (s)", "speedup",
          "efficiency"],
         [
-            [p.num_nodes, p.num_nodes * 8, p.iterations, p.epoch_time,
-             f"{p.speedup:.2f}x", f"{100*p.efficiency:.1f}%"]
-            for p in points
+            [k, k * 8, math.ceil(spec.full_iterations_per_epoch / k), t,
+             f"{s:.2f}x", f"{100 * s / k:.1f}%"]
+            for k, t, s in zip(row.node_counts, row.epoch_times, row.speedups)
         ],
         title="Fig. 13-style scaling (replicated store, gradient-only traffic)",
     ))
 
-    t80 = 80 * points[-1].epoch_time
+    t80 = 80 * row.epoch_times[-1]
     print(
         f"\n80 epochs on 8 nodes: {t80:.0f} s simulated "
         "(paper measured 66 s on Selene)"

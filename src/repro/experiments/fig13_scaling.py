@@ -2,24 +2,33 @@
 
 Each machine node replicates the graph store, so only gradients cross the
 node boundary and WholeGraph scales near-linearly to 8 nodes (paper §IV-D).
-We measure the single-node iteration time, then predict the 1/2/4/8-node
-epoch times with the hierarchical-all-reduce model of
-:mod:`repro.cluster.multinode`.
+For every node count ``k`` we train a few rounds of the cluster plan
+(:class:`~repro.train.plans.ClusterDataParallelPlan`): every round trains
+one full batch per machine node and overlaps the hierarchical gradient
+all-reduce with backward.  A full-scale epoch takes
+``ceil(full_iterations_per_epoch / k)`` such rounds.  The experiment trains
+on every node of the scaled graph, since its training split holds fewer
+seeds than one batch per machine node.
 
 The paper's anchor data point — 80 epochs of 3-layer GraphSage (hidden 256,
-fanout 30³) on ogbn-papers100M in 66 s on 8 nodes — is reported alongside.
+fanout 30³) on ogbn-papers100M in 66 s on 8 nodes — is reported alongside
+by ``examples/multi_node_scaling.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
-from repro.cluster import scaling_curve
-from repro.experiments.common import measure_wholegraph
-from repro.graph.datasets import dataset_spec
-from repro.nn.models import build_model
+import numpy as np
+
+from repro.experiments.common import get_dataset
+from repro.graph import MultiGpuGraphStore
+from repro.hardware import SimNode
 from repro.telemetry.report import format_table
-from repro.utils.rng import spawn_rng
+from repro.train import WholeGraphTrainer
+from repro.train.plans import ClusterDataParallelPlan
 
 DATASETS = ("ogbn-papers100M", "friendster", "uk_domain")
 MODELS = ("gcn", "graphsage", "gat")
@@ -35,6 +44,26 @@ class ScalingRow:
     epoch_times: tuple
 
 
+def epoch_time(dataset, model: str, k: int, iterations: int,
+               seed: int) -> float:
+    """Full-scale epoch seconds of ``model`` on ``k`` machine nodes,
+    measured over ``iterations`` rounds of the cluster plan."""
+    store = MultiGpuGraphStore(SimNode(), dataset, seed=seed)
+    trainer = WholeGraphTrainer(
+        store, model, seed=seed, plan=ClusterDataParallelPlan(k)
+    )
+    for node in trainer.plan.nodes:  # exclude every node's setup and load
+        node.reset_clocks()
+    stats = trainer.train_epoch(max_iterations=iterations)
+    if stats.iterations != k * iterations:
+        raise ValueError(
+            f"{k} machine nodes trained {stats.iterations} batches in "
+            f"{iterations} rounds; the graph has too few nodes"
+        )
+    rounds = math.ceil(dataset.spec.full_iterations_per_epoch / k)
+    return rounds * stats.epoch_time / iterations
+
+
 def run(
     datasets=DATASETS,
     models=MODELS,
@@ -45,28 +74,20 @@ def run(
 ) -> list[ScalingRow]:
     rows = []
     for dataset in datasets:
-        spec = dataset_spec(dataset)
+        ds = get_dataset(dataset, num_nodes, seed)
+        ds = dataclasses.replace(ds, train_nodes=np.arange(ds.num_nodes))
         for model in models:
-            m, node = measure_wholegraph(
-                dataset, model, num_nodes=num_nodes,
-                iterations=iterations, seed=seed,
-            )
-            grad_nbytes = build_model(
-                model, spec.feature_dim, 64, spawn_rng(seed, "g")
-            ).grad_nbytes()
-            points = scaling_curve(
-                m.iter_time,
-                spec.full_iterations_per_epoch,
-                grad_nbytes,
-                node_counts=node_counts,
+            times = tuple(
+                epoch_time(ds, model, k, iterations, seed)
+                for k in node_counts
             )
             rows.append(
                 ScalingRow(
                     dataset=dataset,
                     model=model,
-                    node_counts=tuple(p.num_nodes for p in points),
-                    speedups=tuple(p.speedup for p in points),
-                    epoch_times=tuple(p.epoch_time for p in points),
+                    node_counts=tuple(node_counts),
+                    speedups=tuple(times[0] / t for t in times),
+                    epoch_times=times,
                 )
             )
     return rows

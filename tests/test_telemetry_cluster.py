@@ -1,9 +1,8 @@
-"""Telemetry (utilization, bandwidth, tables) and multi-node scaling."""
+"""Telemetry: utilization, bandwidth and tables."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import MultiNodeCluster, scaling_curve
 from repro.hardware.clock import SimClock, Timeline
 from repro.telemetry.bandwidth import algo_bw, bus_bw, bw_from_gather_stats
 from repro.telemetry.report import format_table
@@ -121,39 +120,3 @@ def test_format_table_alignment():
     assert "a" in lines[1] and "bb" in lines[1]
     assert len({len(l) for l in lines[2:]}) <= 2  # aligned rows
 
-
-# -- multi-node scaling ------------------------------------------------------------
-
-def test_scaling_curve_near_linear():
-    pts = scaling_curve(
-        single_node_iter_time=2e-3,
-        iterations_per_epoch=2000,
-        grad_nbytes=2 * 1024 * 1024,
-        node_counts=(1, 2, 4, 8),
-    )
-    assert [p.num_nodes for p in pts] == [1, 2, 4, 8]
-    assert pts[0].speedup == pytest.approx(1.0)
-    assert pts[-1].speedup > 7.0  # near-linear at 8 nodes (Fig. 13)
-    assert all(b.speedup > a.speedup for a, b in zip(pts, pts[1:]))
-    assert all(0 < p.efficiency <= 1.001 for p in pts)
-
-
-def test_scaling_degrades_with_huge_gradients():
-    """Communication-bound regime: scaling efficiency must drop."""
-    small = scaling_curve(1e-3, 1000, 1 * 1024 * 1024)[-1]
-    huge = scaling_curve(1e-3, 1000, 4 * 1024**3)[-1]
-    assert huge.speedup < small.speedup
-
-
-def test_allreduce_delta_zero_for_single_node():
-    cluster = MultiNodeCluster()
-    assert cluster.allreduce_delta(10**6, 1) == 0.0
-    assert cluster.allreduce_delta(10**6, 4) > 0
-
-
-def test_epoch_time_divides_iterations():
-    cluster = MultiNodeCluster()
-    t1 = cluster.epoch_time(1e-3, 800, 10**6, 1)
-    t8 = cluster.epoch_time(1e-3, 800, 10**6, 8)
-    assert t1 == pytest.approx(0.8)
-    assert t8 < t1 / 6
