@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hardware.clock import SimClock, Span, Timeline
+from repro.hardware.clock import SimClock, Span
 
 __all__ = [
     "Event",

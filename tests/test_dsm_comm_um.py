@@ -5,7 +5,6 @@ import pytest
 
 from repro.dsm.comm import Communicator
 from repro.dsm.unified_memory import UnifiedMemorySpace
-from repro.hardware import SimNode
 
 
 @pytest.fixture

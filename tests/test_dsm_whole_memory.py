@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.dsm import ipc
-from repro.dsm.ipc import IpcHandle, ipc_get_mem_handle, ipc_open_mem_handle
+from repro.dsm.ipc import ipc_get_mem_handle, ipc_open_mem_handle
 from repro.dsm.pointer_table import MemoryPointerTable
 from repro.dsm.whole_memory import WholeMemory, split_evenly
 from repro.dsm.whole_tensor import WholeTensor

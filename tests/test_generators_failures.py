@@ -15,7 +15,7 @@ from repro.graph.generators import (
 )
 from repro.hardware import SimNode
 from repro.hardware.memory import OutOfDeviceMemory
-from repro.hardware.spec import LinkSpec, NodeSpec, a100, dgx_a100
+from repro.hardware.spec import NodeSpec, a100, dgx_a100
 from repro.utils.rng import spawn_rng
 
 

@@ -1,6 +1,5 @@
 """Cross-cutting assertions of specific sentences in the paper."""
 
-import numpy as np
 import pytest
 
 from repro import config

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.hardware import SimNode
 from repro.hardware.clock import SimClock, Timeline
 from repro.sim import (
-    DeviceStreams,
     Event,
     EventLoop,
     Stream,

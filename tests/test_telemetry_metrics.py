@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.graph import MultiGpuGraphStore, load_dataset
+from repro.graph import MultiGpuGraphStore
 from repro.hardware import SimNode
 from repro.telemetry.metrics import (
-    Counter,
     Histogram,
     MetricsRegistry,
     get_registry,
