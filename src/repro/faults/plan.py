@@ -6,8 +6,8 @@ transfer already flows through the comm/clock ledgers, so degraded links,
 straggler GPUs, lost gather replies and dead ranks can be priced (and
 recovered from) exactly.  Four event kinds:
 
-- :class:`LinkDegradation` — the NVLink/NVSwitch fabric (or one named
-  topology link) delivers ``1/factor`` of its bandwidth over a time window;
+- :class:`LinkDegradation` — the NVLink/NVSwitch fabric delivers
+  ``1/factor`` of its bandwidth over a time window;
 - :class:`StragglerGpu` — one GPU runs all busy work ``slowdown``× slower
   over a window (thermal throttling, a noisy neighbour, a flaky HBM stack);
 - :class:`GatherReplyLoss` — gather replies are transiently lost with some
@@ -33,20 +33,12 @@ from repro import config
 
 @dataclass(frozen=True)
 class LinkDegradation:
-    """Interconnect bandwidth degraded to ``1/factor`` over a window.
-
-    With ``link=None`` the whole NVLink fabric of ``node_id`` is degraded
-    (the time-windowed form every comm path consults); naming a topology
-    link (e.g. ``"nvlink3"``) instead degrades only that link in the
-    :class:`~repro.hardware.topology.Topology` bandwidth resolution, and is
-    applied for the lifetime of the injector (topology queries carry no
-    simulated time).
-    """
+    """The NVLink fabric of ``node_id`` delivers ``1/factor`` of its
+    bandwidth over a window; every comm path consults it at charge time."""
 
     factor: float
     start: float = 0.0
     end: float = math.inf
-    link: str | None = None
     node_id: int = 0
     kind: str = field(default="link_degradation", init=False)
 
@@ -165,17 +157,22 @@ class FaultPlan:
 
     @classmethod
     def from_config(cls, data: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_config` (exact round trip)."""
+        """Inverse of :meth:`to_config` (exact round trip).
+
+        Raises ``ValueError`` on a key the event does not have, so a config
+        naming a field this version lacks cannot load as a different fault.
+        """
         events = []
         for row in data.get("events", ()):
             row = dict(row)
             kind = row.pop("kind")
             ev_cls = _EVENT_KINDS[kind]
             valid = {f.name for f in fields(ev_cls) if f.init}
+            unknown = sorted(set(row) - valid)
+            if unknown:
+                raise ValueError(f"unknown {kind} event keys {unknown}")
             kwargs = {
-                k: (math.inf if v == "inf" else v)
-                for k, v in row.items()
-                if k in valid
+                k: (math.inf if v == "inf" else v) for k, v in row.items()
             }
             events.append(ev_cls(**kwargs))
         return cls(events=events, seed=int(data.get("seed", 0)))

@@ -50,9 +50,6 @@ class Topology:
         self.kinds: dict[str, str] = {}
         #: endpoint -> {neighbour: link}, each in insertion order
         self.adjacency: dict[str, dict[str, Link]] = {}
-        #: per-link bandwidth degradation factors (fault injection): a link
-        #: named here delivers ``spec.bandwidth / factor``
-        self.degradation: dict[str, float] = {}
 
     def add_endpoint(self, name: str, kind: str) -> None:
         self.kinds[name] = kind
@@ -97,30 +94,13 @@ class Topology:
         sharer count (all GPUs streaming at once, the paper's measurement
         condition); otherwise the path gets each link exclusively.
         """
-        bws = []
-        for link in self.path(src, dst):
-            share = link.max_sharers if concurrent else 1
-            bw = link.spec.bandwidth / share
-            bw /= self.degradation.get(link.name, 1.0)
-            bws.append(bw)
-        return min(bws)
-
-    def degrade(self, link_name: str, factor: float) -> None:
-        """Degrade one named link's bandwidth to ``1/factor`` of spec.
-
-        Factors compose multiplicatively; ``factor=1`` is a no-op.
-        """
-        if factor < 1.0:
-            raise ValueError("degradation factor must be >= 1")
-        self.degradation[link_name] = (
-            self.degradation.get(link_name, 1.0) * factor
+        return min(
+            link.spec.bandwidth / (link.max_sharers if concurrent else 1)
+            for link in self.path(src, dst)
         )
 
-    def clear_degradation(self) -> None:
-        self.degradation.clear()
-
     def link_names(self) -> list[str]:
-        """All physical link names in the topology (degradation targets).
+        """All physical link names in the topology.
 
         Each link is listed once, from the endpoint added first: endpoints
         in insertion order, each one's links in insertion order.

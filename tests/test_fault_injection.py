@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.faults import (
-    FaultInjector,
     FaultPlan,
     GatherReplyLoss,
     LinkDegradation,
@@ -93,22 +92,6 @@ def test_transient_faults_preserve_weights(
     )
     assert tr.evaluate() == base_tr.evaluate()
     assert not tr.recoveries  # transient faults never trigger recovery
-
-
-def test_named_link_degradation_hits_topology(registry, node):
-    """A named-link degradation reduces that link's resolved bandwidth."""
-    from repro.hardware.topology import gpu_name
-
-    plan = FaultPlan(
-        events=[LinkDegradation(factor=4.0, link="nvlink0")]
-    )
-    base = node.topology.effective_bandwidth(gpu_name(0), gpu_name(1))
-    FaultInjector(plan).install(node)
-    degraded = node.topology.effective_bandwidth(gpu_name(0), gpu_name(1))
-    assert degraded < base
-    assert registry.total(
-        "faults_injected_total", kind="link_degradation"
-    ) == 1
 
 
 def test_transient_faults_land_in_metrics_and_report(
@@ -382,7 +365,6 @@ def test_plan_config_roundtrip():
     plan = FaultPlan(
         events=[
             LinkDegradation(factor=2.0, start=0.1, end=0.2),
-            LinkDegradation(factor=3.0, link="nvlink0"),
             StragglerGpu(rank=4, slowdown=2.0, start=0.0, end=1.0),
             GatherReplyLoss(probability=0.25, max_retries=3, node_id=1),
             RankFailure(rank=7, time=0.5, node_id=2),
@@ -411,12 +393,13 @@ def test_invalid_events_rejected(event):
         event()
 
 
-def test_unknown_link_name_rejected(node):
-    plan = FaultPlan(
-        events=[LinkDegradation(factor=2.0, link="nvlink99")]
-    )
-    with pytest.raises(ValueError, match="unknown topology link"):
-        FaultInjector(plan).install(node)
+def test_unknown_event_key_rejected():
+    """A config key the event lacks (here a link name) raises instead of
+    loading as a different fault (a fabric-wide degradation)."""
+    cfg = FaultPlan(events=[LinkDegradation(factor=2.0)]).to_config()
+    cfg["events"][0]["link"] = "nvlink0"
+    with pytest.raises(ValueError, match="'link'"):
+        FaultPlan.from_config(cfg)
 
 
 def test_invalid_recovery_policy_rejected(small_dataset):
