@@ -264,11 +264,6 @@ DSM_SETUP_PER_GB = 1.5 * MS
 #: to the segment.  [fit, mirrors the Fig. 8 NVLink knee at 128 B]
 ZERO_COPY_SEG_KNEE_BYTES = 128
 
-#: Bandwidth fraction pageable (non-pinned) host memory achieves relative
-#: to pinned: every transfer bounces through a driver staging buffer.
-#: [public: cudaMemcpy pageable vs pinned is ~0.4-0.6x; fit]
-HOST_PAGEABLE_BW_FACTOR = 0.45
-
 #: Sustained sequential read bandwidth of the node-local NVMe scratch
 #: (DGX A100 ships 2x1.92 TB U.2 NVMe, RAID-0 ~6-7 GB/s).  [public]
 DISK_READ_BW = 6 * GB
@@ -279,11 +274,6 @@ DISK_READ_LATENCY = 80 * US
 #: Staging granularity of disk->host reads: cold rows are fetched in
 #: aligned blocks of this size into the pinned staging area.  [fit]
 DISK_BLOCK_BYTES = 512 * KB
-
-#: Default placement policy for graph storage: "device" (all-HBM, the
-#: paper's regime), "host_pinned" (features in pinned host memory), or
-#: "tiered" (hot rows HBM-cached, warm rows pinned host, cold rows disk).
-TIER = "device"
 
 #: Fraction of out-of-HBM feature rows kept in pinned host memory under
 #: ``tier="tiered"``; the remaining cold tail lives on disk.  [fit]

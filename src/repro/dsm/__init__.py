@@ -14,10 +14,11 @@ This package reproduces that protocol step-by-step:
 - :mod:`repro.dsm.whole_memory` — partitioned shared allocations;
 - :mod:`repro.dsm.whole_tensor` — typed 2-D tensors over WholeMemory with
   costed gather/scatter (the op behind feature storage);
-- :mod:`repro.dsm.feature_cache` — per-rank hot-row HBM caches over the
-  gather path (degree-ordered static and CLOCK policies);
-- :mod:`repro.dsm.tiered_tensor` — the out-of-core tier beneath the DSM
-  (warm rows pinned host / cold rows on disk, zero-copy PCIe pricing);
+- :mod:`repro.dsm.tiered_tensor` — host-memory storage beneath the DSM
+  (rows pinned in host DRAM, optionally a cold tail on disk; zero-copy
+  PCIe pricing);
+- :mod:`repro.dsm.feature_cache` — per-rank hot-row HBM caches over either
+  tensor's gather path (degree-ordered static and CLOCK policies);
 - :mod:`repro.dsm.unified_memory` — the CUDA UM page-migration alternative
   (Table I comparison);
 - :mod:`repro.dsm.comm` — NCCL-style collectives over the *distributed
@@ -29,9 +30,8 @@ from repro.dsm.pointer_table import MemoryPointerTable
 from repro.dsm.whole_memory import WholeMemory
 from repro.dsm.whole_tensor import WholeTensor
 from repro.dsm.sparse_embedding import WholeEmbedding, dedup_row_grads
+from repro.dsm.tiered_tensor import TieredTensor
 from repro.dsm.feature_cache import FeatureCache
-from repro.dsm.host_tensor import HostPinnedTensor
-from repro.dsm.tiered_tensor import TieredFeatureCache, TieredTensor
 from repro.dsm.unified_memory import UnifiedMemorySpace
 from repro.dsm.comm import Communicator
 
@@ -44,10 +44,8 @@ __all__ = [
     "WholeTensor",
     "WholeEmbedding",
     "dedup_row_grads",
-    "FeatureCache",
-    "HostPinnedTensor",
     "TieredTensor",
-    "TieredFeatureCache",
+    "FeatureCache",
     "UnifiedMemorySpace",
     "Communicator",
 ]

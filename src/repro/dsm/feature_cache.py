@@ -1,10 +1,11 @@
-"""Per-rank hot-row HBM cache over a :class:`WholeTensor` gather path.
+"""Per-rank hot-row HBM cache over a DSM or host-memory gather path.
 
 Neighbor sampling produces a heavily skewed access pattern: high-degree nodes
 land in almost every mini-batch's input frontier, so their feature rows are
-re-gathered over NVLink again and again.  PyTorch-Direct and Quiver exploit
-exactly this by pinning the hottest rows in the local GPU's HBM; this module
-reproduces that optimisation on top of the distributed shared memory.
+re-gathered over NVLink (or PCIe) again and again.  PyTorch-Direct and Quiver
+exploit exactly this by pinning the hottest rows in the local GPU's HBM; this
+module reproduces that optimisation on top of the distributed shared memory
+and the host-memory tier beneath it.
 
 Each rank owns an independent cache of ``capacity_rows`` feature rows:
 
@@ -17,9 +18,13 @@ Each rank owns an independent cache of ``capacity_rows`` feature rows:
 Both behaviours are *functional* (real NumPy rows are copied into and served
 from per-rank cache arrays, so cached gathers are bit-identical to uncached
 ones) and *performance-modelled* (cache capacity is allocated against the
-rank's :class:`~repro.hardware.memory.DeviceMemory`, hits ride the local HBM
-random-read curve instead of the Fig. 8 NVLink curve via
-:func:`repro.hardware.costmodel.cached_gather_time`).
+rank's :class:`~repro.hardware.memory.DeviceMemory`).  The cached tensor
+prices each read of its own rows (``cached_read_cost``): a
+:class:`~repro.dsm.whole_tensor.WholeTensor` puts hits and locally owned
+misses on the HBM curve and remote misses on the Fig. 8 NVLink curve; a
+:class:`~repro.dsm.tiered_tensor.TieredTensor` puts its misses on PCIe and
+disk.  :meth:`FeatureCache.book` keeps the one hit/miss ledger of every
+served read, the streaming loader's included.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.dsm.tiered_tensor import TieredTensor
 from repro.dsm.whole_tensor import WholeTensor
 from repro.hardware import costmodel
 from repro.telemetry import metrics
@@ -60,19 +66,19 @@ def _new_stats() -> dict:
         "misses": 0,
         "hit_bytes": 0,
         "miss_bytes": 0,
-        #: remote-owned rows served from the cache — the NVLink traffic the
-        #: cache actually eliminated
+        #: fabric traffic the cache actually eliminated: remote-owned rows
+        #: served from it (DSM), or every hit (host memory)
         "remote_bytes_saved": 0,
         "gather_time": 0.0,
     }
 
 
 class FeatureCache:
-    """A per-rank hot-row cache layered over ``WholeTensor.gather``."""
+    """A per-rank hot-row cache layered over a tensor's gather."""
 
     def __init__(
         self,
-        tensor: WholeTensor,
+        tensor: WholeTensor | TieredTensor,
         capacity_rows: int,
         policy: str = "static",
         hot_rows: np.ndarray | None = None,
@@ -119,7 +125,7 @@ class FeatureCache:
     @classmethod
     def from_ratio(
         cls,
-        tensor: WholeTensor,
+        tensor: WholeTensor | TieredTensor,
         cache_ratio: float,
         policy: str = "static",
         degrees: np.ndarray | None = None,
@@ -145,17 +151,11 @@ class FeatureCache:
 
     # -- setup -----------------------------------------------------------------
 
-    def _fill_time(self, rows: np.ndarray) -> float:
-        """Per-rank prefill cost: one bulk gather over the fabric plus the
-        HBM write-back.  Overridden by the tiered cache, whose fills pull
-        rows up from the host/disk tier instead of over NVLink."""
-        n = rows.size
-        return costmodel.gather_time(
-            n * self.row_bytes, self.row_bytes, self.node.num_gpus
-        ) + costmodel.elementwise_time(n * self.row_bytes)
-
     def _prefill(self, hot_rows: np.ndarray, charge_fill: bool) -> None:
-        """Fill every rank's cache with the hottest rows (static policy)."""
+        """Fill every rank's cache with the hottest rows (static policy).
+
+        A charged fill costs each rank one bulk read of the rows out of
+        the tensor plus the HBM write-back."""
         rows = hot_rows[: self.capacity_rows]
         if rows.size == 0:
             return
@@ -167,7 +167,9 @@ class FeatureCache:
             st.slot_of[rows] = np.arange(n)
             st.filled = n
             if charge_fill:
-                t = self._fill_time(rows)
+                t = self.tensor.prefill_time(rows) + costmodel.elementwise_time(
+                    n * self.row_bytes
+                )
                 self.node.gpu_clock[rank].advance(t, phase="cache_fill")
         if charge_fill:
             self.node.sync()
@@ -186,7 +188,6 @@ class FeatureCache:
         rows = tensor._check_rows(rows)
         st = self._ranks[rank]
         out = np.empty((rows.size, tensor.num_cols), dtype=tensor.dtype)
-        owners = tensor.rank_of_row(rows)
 
         slots = st.slot_of[rows] if rows.size else np.empty(0, dtype=np.int64)
         hit = slots >= 0
@@ -197,16 +198,7 @@ class FeatureCache:
         if num_hits < rows.size:
             out[miss] = tensor._read(rows[miss])
 
-        # -- cost: hits + locally-owned misses stream from HBM, remote misses
-        # ride the NVLink random-read curve; both streams overlap in-kernel
-        remote_miss = int(np.count_nonzero(miss & (owners != rank)))
-        local_rows = rows.size - remote_miss
-        t = costmodel.cached_gather_time(
-            local_rows * self.row_bytes,
-            remote_miss * self.row_bytes,
-            self.row_bytes,
-        )
-        inserted = 0
+        t, args, saved = tensor.cached_read_cost(rows, hit, rank)
         if self.policy == "clock" and self.capacity_rows > 0:
             st.ref[slots[hit]] = True
             inserted = self._insert_misses(st, rows, out, miss)
@@ -214,46 +206,44 @@ class FeatureCache:
                 # the miss rows are already in registers after the gather;
                 # pay only the HBM write into the cache array
                 t += costmodel.elementwise_time(inserted * self.row_bytes)
-        self.node.gpu_clock[rank].advance(
-            t, phase=phase, category="gather",
-            args={"rows": int(rows.size), "cache_hits": num_hits,
-                  "remote_miss_rows": remote_miss,
-                  "bytes": int(rows.size * self.row_bytes),
-                  "remote_bytes": int(remote_miss * self.row_bytes)},
-        )
+        clock = self.node.gpu_clock[rank]
+        clock.advance(t, phase=phase, category="gather", args=args)
+        # cached gathers bypass the tensor's gather, so its per-link
+        # ledger is fed here
+        tensor.book_cached_read(args, clock.now)
+        self.book(rank, int(rows.size), num_hits, saved, t, clock.now)
+        return out
 
-        num_misses = rows.size - num_hits
-        remote_saved = (
-            int(np.count_nonzero(hit & (owners != rank))) * self.row_bytes
-        )
-        stats = st.stats
+    def book(
+        self, rank: int, rows: int, hits: int, saved_bytes: int,
+        seconds: float, now: float,
+    ) -> None:
+        """Book one served read of ``rows`` rows on ``rank``, ``hits`` of
+        them out of the cache, into the rank's statistics and the
+        ``cache_*`` metrics."""
+        misses = rows - hits
+        stats = self._ranks[rank].stats
         stats["gather_calls"] += 1
-        stats["hits"] += num_hits
-        stats["misses"] += num_misses
-        stats["hit_bytes"] += num_hits * self.row_bytes
-        stats["miss_bytes"] += num_misses * self.row_bytes
-        stats["remote_bytes_saved"] += remote_saved
-        stats["gather_time"] += t
+        stats["hits"] += hits
+        stats["misses"] += misses
+        stats["hit_bytes"] += hits * self.row_bytes
+        stats["miss_bytes"] += misses * self.row_bytes
+        stats["remote_bytes_saved"] += saved_bytes
+        stats["gather_time"] += seconds
 
         reg = metrics.get_registry()
-        now = self.node.gpu_clock[rank].now
-        reg.counter("cache_requests_total").inc(rows.size)
-        reg.counter("cache_hits_total").inc(num_hits)
-        reg.counter("cache_misses_total").inc(num_misses)
-        reg.counter("cache_remote_bytes_saved_total").inc(remote_saved)
-        # cached gathers bypass WholeTensor.gather, so the per-link ledger
-        # is fed here: remote misses ride NVLink, everything else is HBM
-        reg.counter("gather_link_bytes_total", link="nvlink").inc(
-            remote_miss * self.row_bytes, t=now
-        )
-        reg.counter("gather_link_bytes_total", link="hbm").inc(
-            local_rows * self.row_bytes, t=now
-        )
+        reg.counter("cache_requests_total").inc(rows)
+        reg.counter("cache_hits_total").inc(hits)
+        reg.counter("cache_misses_total").inc(misses)
+        reg.counter("cache_remote_bytes_saved_total").inc(saved_bytes)
         total = reg.total("cache_hits_total") + reg.total("cache_misses_total")
         reg.gauge("cache_hit_rate").set(
             reg.total("cache_hits_total") / total if total else 0.0, t=now
         )
-        return out
+
+    def hit_mask(self, rows: np.ndarray, rank: int) -> np.ndarray:
+        """Which of the checked ``rows`` ``rank``'s cache holds."""
+        return self._ranks[rank].slot_of[rows] >= 0
 
     def _insert_misses(
         self,

@@ -1,30 +1,33 @@
-"""Out-of-core storage tier beneath the DSM: pinned host + NVMe disk.
+"""Host-memory storage beneath the DSM: pinned host DRAM + NVMe disk.
 
-Graphs whose features exceed aggregate HBM spill into two tiers below the
-device-resident WholeMemory:
+The open-source WholeGraph exposes a *host-pinned* memory type next to the
+device-resident one: the data lives in CPU DRAM registered for GPU access,
+and kernels read it directly over PCIe at the 16 GB/s shared uplink instead
+of NVLink's 300 GB/s (paper §III-B's 18.75x).  Graphs whose features
+exceed even host DRAM spill one tier further:
 
-- **warm** — the hottest spilled rows live in *pinned* host DRAM and are
-  read zero-copy over PCIe (the PyTorch-Direct regime: GPU threads load
-  host cache lines directly, paying the 16 GB/s shared uplink instead of
-  NVLink);
+- **warm** — the hottest rows live in *pinned* host DRAM and are read
+  zero-copy over PCIe (the PyTorch-Direct regime: GPU threads load host
+  cache lines directly);
 - **cold** — the tail lives on the node-local NVMe scratch and is staged
   disk->host (aligned-block reads into a pinned staging area) before the
   same zero-copy hop.
 
-Placement is by hotness (degree order, the access-frequency proxy neighbor
-sampling induces): with ``host_pinned_fraction=f``, the hottest ``f`` of
-the rows are warm and the rest cold.  Layered on top, the *hot* tier is the
-existing per-rank HBM :class:`~repro.dsm.feature_cache.FeatureCache` —
-:class:`TieredFeatureCache` reprices its misses at the host/disk regime
-while keeping hits on the local HBM curve, completing the
-hot-HBM / warm-host / cold-disk hierarchy.
+:class:`TieredTensor` is the one tensor for rows held in host memory:
+``host_pinned_fraction=1.0`` is plain host-pinned storage (the graph
+store's ``tier="host_pinned"`` features and the tiered store's CSR), and a
+smaller fraction places the hottest rows warm by degree order, the
+access-frequency proxy neighbor sampling induces.  Layered on top, the
+*hot* tier is the per-rank HBM :class:`~repro.dsm.feature_cache.
+FeatureCache`, whose reads the tensor prices with
+:meth:`TieredTensor.cached_read_cost`: hits on the local HBM curve, warm
+and cold misses on PCIe and disk.
 
-Both classes keep the repo's two coupled behaviours: gathers really move
-NumPy rows (bit-identical to a device gather), and every access charges the
-calling GPU's clock through the zero-copy cost regime in
-:mod:`repro.hardware.costmodel`, stamping ``host_bytes``/``disk_bytes``
-span args that feed the per-tier ledgers, critical-path link blame and the
-``host_bw_2x`` what-if knob.
+Gathers really move NumPy rows (bit-identical to a device gather), and
+every access charges the calling GPU's clock through the zero-copy cost
+regime in :mod:`repro.hardware.costmodel`, stamping
+``host_bytes``/``disk_bytes`` span args that feed the per-tier ledgers,
+critical-path link blame and the ``host_bw_2x`` what-if knob.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro import config
-from repro.dsm.feature_cache import FeatureCache
 from repro.hardware import costmodel
 from repro.hardware.machine import SimNode
 from repro.telemetry import metrics
 
-__all__ = ["TIER_HOST", "TIER_DISK", "TieredTensor", "TieredFeatureCache"]
+__all__ = ["TIER_HOST", "TIER_DISK", "TieredTensor"]
 
 #: tier codes of :attr:`TieredTensor.tier_of`
 TIER_HOST = 0
@@ -45,13 +47,14 @@ TIER_DISK = 1
 
 
 class TieredTensor:
-    """A ``(num_rows, num_cols)`` array spilled out of HBM.
+    """A ``(num_rows, num_cols)`` array held in host memory.
 
     The warm fraction is pinned in host DRAM (allocated against the node's
-    host memory, like :class:`~repro.dsm.host_tensor.HostPinnedTensor`);
-    the cold tail lives on disk and only its staging buffer counts against
-    host DRAM.  Mirrors the ``WholeTensor`` gather API so the graph store
-    (and the trainer above it) can swap storage locations transparently.
+    host memory); the cold tail lives on disk and only its staging buffer
+    counts against host DRAM.  With no cold rows it is plain host-pinned
+    storage: no staging buffer and no per-row tier map.  Mirrors the
+    ``WholeTensor`` gather API so the graph store (and the trainer above
+    it) can swap storage locations transparently.
     """
 
     def __init__(
@@ -63,15 +66,11 @@ class TieredTensor:
         tag: str = "tiered",
         host_pinned_fraction: float | None = None,
         hotness: np.ndarray | None = None,
-        pinned: bool = True,
     ):
         """``host_pinned_fraction`` defaults to
         :data:`repro.config.HOST_PINNED_FRACTION`.  ``hotness`` ranks rows
         for placement (hottest = largest value, typically node degree);
-        without it, the lowest row IDs are warm.  ``pinned=False`` models
-        pageable host memory (every read bounces through a driver staging
-        buffer at :data:`~repro.config.HOST_PAGEABLE_BW_FACTOR` of the
-        pinned rate)."""
+        without it, the lowest row IDs are warm."""
         if host_pinned_fraction is None:
             host_pinned_fraction = config.HOST_PINNED_FRACTION
         if not 0.0 <= host_pinned_fraction <= 1.0:
@@ -82,7 +81,6 @@ class TieredTensor:
         self.dtype = np.dtype(dtype)
         self.row_bytes = self.num_cols * self.dtype.itemsize
         self.tag = tag
-        self.pinned = bool(pinned)
         self.host_pinned_fraction = float(host_pinned_fraction)
 
         n_host = int(round(self.host_pinned_fraction * self.num_rows))
@@ -93,15 +91,23 @@ class TieredTensor:
             hotness = np.asarray(hotness)
             if hotness.shape[0] != self.num_rows:
                 raise ValueError("need one hotness value per row")
-            order = np.argsort(-hotness, kind="stable")
+        staging = 0
+        if not self.disk_rows:
+            #: tier of each row (:data:`TIER_HOST` or :data:`TIER_DISK`);
+            #: a zero-stride view when every row is warm
+            self.tier_of = np.broadcast_to(
+                np.int8(TIER_HOST), (self.num_rows,)
+            )
         else:
-            order = np.arange(self.num_rows, dtype=np.int64)
-        #: tier of each row (:data:`TIER_HOST` or :data:`TIER_DISK`)
-        self.tier_of = np.full(self.num_rows, TIER_DISK, dtype=np.int8)
-        self.tier_of[order[:n_host]] = TIER_HOST
+            if hotness is not None:
+                order = np.argsort(-hotness, kind="stable")
+            else:
+                order = np.arange(self.num_rows, dtype=np.int64)
+            self.tier_of = np.full(self.num_rows, TIER_DISK, dtype=np.int8)
+            self.tier_of[order[:n_host]] = TIER_HOST
+            staging = config.DISK_BLOCK_BYTES * config.PREFETCH_DEPTH
 
         # host DRAM accounting: the warm rows plus the disk staging area
-        staging = config.DISK_BLOCK_BYTES * config.PREFETCH_DEPTH
         self._allocation = node.host_memory.allocate(
             n_host * self.row_bytes + staging, tag=tag
         )
@@ -137,15 +143,21 @@ class TieredTensor:
 
     def tier_split(self, rows: np.ndarray) -> tuple[int, int]:
         """``(warm_rows, cold_rows)`` of an (already validated) row set."""
+        if not self.disk_rows:
+            return int(rows.size), 0
         host = int(np.count_nonzero(self.tier_of[rows] == TIER_HOST))
         return host, int(rows.size) - host
+
+    def _read(self, rows: np.ndarray) -> np.ndarray:
+        """Copy out checked ``rows``."""
+        return self._data[rows]
 
     # -- load ------------------------------------------------------------------
 
     def load_from_host(self, array: np.ndarray, phase: str = "load") -> float:
         """Populate from a host array, which the tensor keeps as its rows
-        (disk write-behind charged to nobody, matching
-        ``HostPinnedTensor.load_from_host``)."""
+        (already in DRAM, so no PCIe; disk write-behind charged to
+        nobody)."""
         self._data = np.asarray(array, dtype=self.dtype).reshape(
             self.num_rows, self.num_cols
         )
@@ -165,7 +177,7 @@ class TieredTensor:
         host_bytes = host_rows * self.row_bytes
         disk_bytes = disk_rows * self.row_bytes
         t = costmodel.tiered_gather_time(
-            host_bytes, disk_bytes, self.row_bytes, pinned=self.pinned
+            0.0, host_bytes, disk_bytes, self.row_bytes
         )
         args = {
             "rows": int(rows.size),
@@ -175,6 +187,44 @@ class TieredTensor:
             "tensor": self.tag,
         }
         return t, args
+
+    def prefill_time(self, rows) -> float:
+        """A cache prefill's read of ``rows``: one fetch up from the
+        host/disk tier."""
+        return self.fetch_time(rows)[0]
+
+    def cached_read_cost(
+        self, rows: np.ndarray, hit: np.ndarray, rank: int
+    ) -> tuple[float, dict, int]:
+        """``(seconds, span args, bytes saved)`` of reading checked ``rows``
+        onto ``rank`` when its HBM cache serves the ``hit`` rows.
+
+        Hits stream from local HBM while warm misses ride zero-copy PCIe
+        and cold misses chain disk staging + PCIe; the streams overlap
+        in-kernel, so the slowest dominates.  Every hit is a host or disk
+        transfer the cache saved.
+        """
+        num_hits = int(np.count_nonzero(hit))
+        host_miss, disk_miss = self.tier_split(rows[~hit])
+        rb = self.row_bytes
+        host_bytes = host_miss * rb
+        disk_bytes = disk_miss * rb
+        hit_bytes = num_hits * rb
+        t = costmodel.tiered_gather_time(hit_bytes, host_bytes, disk_bytes, rb)
+        args = {"rows": int(rows.size), "cache_hits": num_hits,
+                "bytes": int(rows.size * rb),
+                "host_bytes": int(host_bytes),
+                "disk_bytes": int(disk_bytes),
+                "tensor": self.tag}
+        return t, args, hit_bytes
+
+    def book_cached_read(self, args: dict, now: float) -> None:
+        """Per-link and per-tier ledgers of a cached read priced by
+        :meth:`cached_read_cost` (hits are HBM bytes)."""
+        metrics.get_registry().counter(
+            "gather_link_bytes_total", link="hbm"
+        ).inc(args["cache_hits"] * self.row_bytes, t=now)
+        self._book_tiers(args, now)
 
     # -- gathers ---------------------------------------------------------------
 
@@ -186,7 +236,7 @@ class TieredTensor:
         with a remote fraction of 1.0 — every byte crosses the host fabric.
         """
         rows = self._check_rows(rows)
-        out = self._data[rows]
+        out = self._read(rows)
         t, args = self.fetch_time(rows)
         clock = self.node.gpu_clock[rank]
         injector = self.node.fault_injector
@@ -203,7 +253,7 @@ class TieredTensor:
 
     def gather_no_cost(self, rows) -> np.ndarray:
         """Functional gather without clock charging (evaluation paths)."""
-        return self._data[self._check_rows(rows)]
+        return self._read(self._check_rows(rows))
 
     def _account(self, args: dict, t: float, now: float) -> None:
         st = self.stats
@@ -216,23 +266,29 @@ class TieredTensor:
         reg = metrics.get_registry()
         reg.counter("gather_requests_total", tensor=self.tag).inc(1)
         reg.counter("gather_rows_total", tensor=self.tag).inc(args["rows"])
-        # per-link ledger: warm bytes ride PCIe, cold bytes are attributed
-        # to the disk stage (their PCIe hop is implied by the chain)
+        reg.counter("gather_seconds_total", tensor=self.tag).inc(t)
+        reg.histogram("gather_rows_per_call", tensor=self.tag).observe(
+            args["rows"]
+        )
+        self._book_tiers(args, now)
+
+    @staticmethod
+    def _book_tiers(args: dict, now: float) -> None:
+        """Per-link and per-tier ledgers of a host/disk read: warm bytes
+        ride PCIe, cold bytes are attributed to the disk stage (their PCIe
+        hop is implied by the chain)."""
+        reg = metrics.get_registry()
         reg.counter("gather_link_bytes_total", link="pcie").inc(
             args["host_bytes"], t=now
         )
         reg.counter("gather_link_bytes_total", link="disk").inc(
             args["disk_bytes"], t=now
         )
-        reg.counter("gather_seconds_total", tensor=self.tag).inc(t)
         reg.counter("tier_gather_bytes_total", tier="host").inc(
             args["host_bytes"]
         )
         reg.counter("tier_gather_bytes_total", tier="disk").inc(
             args["disk_bytes"]
-        )
-        reg.histogram("gather_rows_per_call", tensor=self.tag).observe(
-            args["rows"]
         )
 
     # -- lifecycle --------------------------------------------------------------
@@ -240,108 +296,3 @@ class TieredTensor:
     def free(self) -> None:
         self.node.host_memory.free(self._allocation)
         self._data = None
-
-
-class TieredFeatureCache(FeatureCache):
-    """Hot-row HBM cache whose misses pay the host/disk tier.
-
-    Reuses the base class's per-rank cache arrays, CLOCK policy and
-    statistics wholesale; only the miss fill (one ``_data`` read instead of
-    per-rank partition reads) and the pricing (zero-copy PCIe + disk
-    staging instead of the NVLink curve) differ.  Hits stream from local
-    HBM concurrently with the miss chain, so the slower side dominates —
-    the same in-kernel overlap as ``cached_gather_time``.
-    """
-
-    def __init__(self, tensor: TieredTensor, capacity_rows: int, **kwargs):
-        if not isinstance(tensor, TieredTensor):
-            raise TypeError("TieredFeatureCache requires a TieredTensor")
-        super().__init__(tensor, capacity_rows, **kwargs)
-
-    def _fill_time(self, rows: np.ndarray) -> float:
-        """Static prefill pulls the hot rows up from the host/disk tier."""
-        t, _ = self.tensor.fetch_time(rows)
-        return t + costmodel.elementwise_time(rows.size * self.row_bytes)
-
-    def gather(self, rows, rank: int, phase: str = "gather") -> np.ndarray:
-        tensor = self.tensor
-        rows = tensor._check_rows(rows)
-        st = self._ranks[rank]
-        out = np.empty((rows.size, tensor.num_cols), dtype=tensor.dtype)
-
-        slots = st.slot_of[rows] if rows.size else np.empty(0, dtype=np.int64)
-        hit = slots >= 0
-        num_hits = int(np.count_nonzero(hit))
-        if num_hits:
-            out[hit] = st.data[slots[hit]]
-        miss = ~hit
-        miss_rows = rows[miss]
-        if miss_rows.size:
-            out[miss] = tensor._data[miss_rows]
-
-        # -- cost: hits stream from HBM, warm misses ride zero-copy PCIe,
-        # cold misses chain disk staging + PCIe; all streams overlap
-        # in-kernel so the slowest dominates
-        host_miss, disk_miss = tensor.tier_split(miss_rows)
-        rb = self.row_bytes
-        host_bytes = host_miss * rb
-        disk_bytes = disk_miss * rb
-        hit_bytes = num_hits * rb
-        bw = costmodel.zero_copy_host_bw(rb, pinned=tensor.pinned)
-        t_warm = host_bytes / bw
-        t_cold = 0.0
-        if disk_bytes > 0:
-            t_cold = (
-                costmodel.disk_staging_time(disk_bytes) + disk_bytes / bw
-            )
-        t_local = hit_bytes / costmodel.local_random_read_bw(rb)
-        t = config.KERNEL_LAUNCH_OVERHEAD + max(t_local, t_warm, t_cold)
-
-        inserted = 0
-        if self.policy == "clock" and self.capacity_rows > 0:
-            st.ref[slots[hit]] = True
-            inserted = self._insert_misses(st, rows, out, miss)
-            if inserted:
-                t += costmodel.elementwise_time(inserted * rb)
-        self.node.gpu_clock[rank].advance(
-            t, phase=phase, category="gather",
-            args={"rows": int(rows.size), "cache_hits": num_hits,
-                  "bytes": int(rows.size * rb),
-                  "host_bytes": int(host_bytes),
-                  "disk_bytes": int(disk_bytes),
-                  "tensor": tensor.tag},
-        )
-
-        num_misses = rows.size - num_hits
-        stats = st.stats
-        stats["gather_calls"] += 1
-        stats["hits"] += num_hits
-        stats["misses"] += num_misses
-        stats["hit_bytes"] += hit_bytes
-        stats["miss_bytes"] += num_misses * rb
-        # every hit is a PCIe/disk transfer the HBM cache eliminated
-        stats["remote_bytes_saved"] += hit_bytes
-        stats["gather_time"] += t
-
-        reg = metrics.get_registry()
-        now = self.node.gpu_clock[rank].now
-        reg.counter("cache_requests_total").inc(rows.size)
-        reg.counter("cache_hits_total").inc(num_hits)
-        reg.counter("cache_misses_total").inc(num_misses)
-        reg.counter("cache_remote_bytes_saved_total").inc(hit_bytes)
-        reg.counter("gather_link_bytes_total", link="hbm").inc(
-            hit_bytes, t=now
-        )
-        reg.counter("gather_link_bytes_total", link="pcie").inc(
-            host_bytes, t=now
-        )
-        reg.counter("gather_link_bytes_total", link="disk").inc(
-            disk_bytes, t=now
-        )
-        reg.counter("tier_gather_bytes_total", tier="host").inc(host_bytes)
-        reg.counter("tier_gather_bytes_total", tier="disk").inc(disk_bytes)
-        total = reg.total("cache_hits_total") + reg.total("cache_misses_total")
-        reg.gauge("cache_hit_rate").set(
-            reg.total("cache_hits_total") / total if total else 0.0, t=now
-        )
-        return out

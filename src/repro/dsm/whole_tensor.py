@@ -289,6 +289,51 @@ class WholeTensor:
         self._require_data()
         return self._read(self._check_rows(rows))
 
+    # -- pricing a read through a hot-row cache ----------------------------------
+
+    def prefill_time(self, rows) -> float:
+        """A cache prefill's read of ``rows``: one bulk gather at the
+        uniform remote fraction."""
+        nbytes = len(rows) * self.row_bytes
+        return costmodel.gather_time(nbytes, self.row_bytes, self.node.num_gpus)
+
+    def cached_read_cost(
+        self, rows: np.ndarray, hit: np.ndarray, rank: int
+    ) -> tuple[float, dict, int]:
+        """``(seconds, span args, bytes saved)`` of reading checked ``rows``
+        onto ``rank`` when its HBM cache serves the ``hit`` rows.
+
+        Hits plus locally owned misses stream from HBM while remote misses
+        ride the NVLink random-read curve; both streams overlap in-kernel
+        (:func:`~repro.hardware.costmodel.cached_gather_time`).  The cache
+        saved the NVLink bytes of its remote-owned hits.
+        """
+        rb = self.row_bytes
+        remote = self.rank_of_row(rows) != rank
+        remote_miss = int(np.count_nonzero(~hit & remote))
+        local_rows = rows.size - remote_miss
+        t = costmodel.cached_gather_time(
+            local_rows * rb, remote_miss * rb, rb
+        )
+        args = {"rows": int(rows.size),
+                "cache_hits": int(np.count_nonzero(hit)),
+                "remote_miss_rows": remote_miss,
+                "bytes": int(rows.size * rb),
+                "remote_bytes": int(remote_miss * rb)}
+        return t, args, int(np.count_nonzero(hit & remote)) * rb
+
+    def book_cached_read(self, args: dict, now: float) -> None:
+        """Per-link ledger of a cached read priced by
+        :meth:`cached_read_cost`: remote misses ride NVLink, everything
+        else is HBM."""
+        reg = metrics.get_registry()
+        reg.counter("gather_link_bytes_total", link="nvlink").inc(
+            args["remote_bytes"], t=now
+        )
+        reg.counter("gather_link_bytes_total", link="hbm").inc(
+            args["bytes"] - args["remote_bytes"], t=now
+        )
+
     def scatter_no_cost(self, rows, values: np.ndarray) -> None:
         """Functional scatter without clock charging (restore/update paths)."""
         self._require_data()

@@ -172,9 +172,7 @@ def feature_location_ablation(
     times = {}
     for location in ("device", "host_pinned"):
         node = SimNode()
-        store = MultiGpuGraphStore(
-            node, ds, seed=seed, feature_location=location
-        )
+        store = MultiGpuGraphStore(node, ds, seed=seed, tier=location)
         sampler = NeighborSampler(store, list(fanouts), charge=False)
         seeds = store.train_nodes[:batch_size]
         sg = sampler.sample(seeds, 0, spawn_rng(seed, "abl-loc", location))

@@ -27,8 +27,7 @@ import numpy as np
 
 from repro import config
 from repro.dsm.feature_cache import FeatureCache
-from repro.dsm.host_tensor import HostPinnedTensor
-from repro.dsm.tiered_tensor import TieredFeatureCache, TieredTensor
+from repro.dsm.tiered_tensor import TieredTensor
 from repro.dsm.whole_tensor import WholeTensor
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DatasetSpec, SyntheticDataset
@@ -45,44 +44,38 @@ class MultiGpuGraphStore:
         dataset: SyntheticDataset,
         seed: int = 0,
         charge_setup: bool = True,
-        feature_location: str = "device",
         cache_ratio: float = 0.0,
         cache_policy: str = "static",
-        tier: str | None = None,
+        tier: str = "device",
         host_pinned_fraction: float | None = None,
     ):
-        """``feature_location``: ``"device"`` scatters features across GPU
-        memory (WholeGraph proper); ``"host_pinned"`` keeps them in CPU DRAM
-        with zero-copy PCIe access — the fallback the open-source WholeGraph
-        offers for graphs beyond aggregate GPU memory, and the baseline of
-        the storage-location ablation.
-
-        ``tier`` supersedes ``feature_location`` when given: the same two
-        values plus ``"tiered"``, the out-of-core hierarchy — the CSR
-        topology moves to pinned host memory, features spill into a
-        :class:`~repro.dsm.tiered_tensor.TieredTensor` (the hottest
-        ``host_pinned_fraction`` of rows warm in pinned host DRAM, the cold
-        tail on NVMe scratch, placement by degree), and ``cache_ratio``
-        sizes the hot HBM tier on top.
+        """``tier`` places the features: ``"device"`` scatters them across
+        GPU memory (WholeGraph proper); ``"host_pinned"`` keeps them in CPU
+        DRAM with zero-copy PCIe access — the fallback the open-source
+        WholeGraph offers for graphs beyond aggregate GPU memory, and the
+        baseline of the storage-location ablation; ``"tiered"`` is the
+        out-of-core hierarchy — the CSR topology moves to pinned host
+        memory, and the hottest ``host_pinned_fraction`` of the feature
+        rows stay warm in pinned host DRAM with the cold tail on NVMe
+        scratch, placement by degree.  Host-memory features live in a
+        :class:`~repro.dsm.tiered_tensor.TieredTensor` (all rows warm under
+        ``"host_pinned"``).
 
         ``cache_ratio`` > 0 layers a per-rank hot-row HBM cache
         (:class:`~repro.dsm.feature_cache.FeatureCache`) over the feature
-        gather path: that fraction of the feature rows is cached per rank,
-        with ``cache_policy`` selecting the degree-ordered ``"static"``
-        placement or the online ``"clock"`` (LRU-approximating) policy."""
-        if tier is None:
-            tier = feature_location
+        gather path of a ``"device"`` or ``"tiered"`` store: that fraction
+        of the feature rows is cached per rank, with ``cache_policy``
+        selecting the degree-ordered ``"static"`` placement or the online
+        ``"clock"`` (LRU-approximating) policy."""
         if tier not in ("device", "host_pinned", "tiered"):
             raise ValueError(
-                "feature_location must be 'device' or 'host_pinned'"
-                " (or tier='tiered')"
+                "tier must be 'device', 'host_pinned' or 'tiered'"
             )
         if cache_ratio and tier == "host_pinned":
             raise ValueError(
-                "the feature cache requires device-resident features"
+                "the feature cache needs tier='device' or 'tiered'"
             )
         self.tier = tier
-        self.feature_location = tier
         #: where the CSR topology lives: host-pinned under the tiered
         #: hierarchy (the sampler prices its row reads at the zero-copy
         #: PCIe regime), device WholeMemory otherwise
@@ -146,11 +139,13 @@ class MultiGpuGraphStore:
             # out-of-core hierarchy: the CSR topology is pinned in host
             # DRAM and read zero-copy — the sampler prices its row reads
             # at the PCIe regime instead of the NVLink curve
-            self.indptr_tensor = HostPinnedTensor(
+            self.indptr_tensor = TieredTensor(
                 node, self.num_nodes + 1, 1, dtype=np.int64, tag="graph",
+                host_pinned_fraction=1.0,
             )
-            self.indices_tensor = HostPinnedTensor(
+            self.indices_tensor = TieredTensor(
                 node, self.num_edges, 1, dtype=np.int64, tag="graph",
+                host_pinned_fraction=1.0,
             )
         else:
             self.indptr_tensor = WholeTensor(
@@ -199,19 +194,17 @@ class MultiGpuGraphStore:
                 hotness=np.diff(self.csr.indptr),
             )
         else:
-            self.feature_tensor = HostPinnedTensor(
+            # every row pinned in host DRAM, read zero-copy over PCIe
+            self.feature_tensor = TieredTensor(
                 node, self.num_nodes, self.feature_dim,
-                dtype=np.float32, tag="feature",
+                dtype=np.float32, tag="feature", host_pinned_fraction=1.0,
             )
         self.feature_tensor.load_from_host(self.features, phase="load")
 
         # -- hot-row feature cache (optional) -----------------------------------
         self.feature_cache = None
         if self._cache_ratio:
-            cache_cls = (
-                TieredFeatureCache if self.tier == "tiered" else FeatureCache
-            )
-            self.feature_cache = cache_cls.from_ratio(
+            self.feature_cache = FeatureCache.from_ratio(
                 self.feature_tensor,
                 self._cache_ratio,
                 policy=self._cache_policy,
@@ -276,7 +269,6 @@ class MultiGpuGraphStore:
                 self.dataset,
                 seed=self._seed,
                 charge_setup=charge_setup,
-                feature_location=self.feature_location,
                 cache_ratio=self._cache_ratio,
                 cache_policy=self._cache_policy,
                 tier=self.tier,

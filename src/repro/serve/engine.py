@@ -377,7 +377,7 @@ class InferenceEngine:
             "routing": self.routing,
             "replicas": list(self.replicas),
             "cache_enabled": self.store.feature_cache is not None,
-            "feature_location": self.store.feature_location,
+            "feature_location": self.store.tier,
         }
 
 

@@ -138,8 +138,7 @@ class StreamingLoader:
         """``(cache hits, rows needing a tier fetch)`` for the frontier."""
         if self.cache is None or rows.size == 0:
             return 0, rows
-        st = self.cache._ranks[self.rank]
-        hit = st.slot_of[rows] >= 0
+        hit = self.cache.hit_mask(rows, self.rank)
         return int(np.count_nonzero(hit)), rows[~hit]
 
     def prefetch(self, batch, rng: np.random.Generator) -> PhaseTimes:
@@ -268,27 +267,9 @@ class StreamingLoader:
         reg.counter("host_fetch_exposed_seconds_total").inc(exposed)
         reg.counter("host_fetch_hidden_seconds_total").inc(hidden)
         if self.cache is not None:
-            misses = rows.size - staged.cache_hits
-            hit_bytes = staged.cache_hits * tensor.row_bytes
-            st = self.cache._ranks[self.rank].stats
-            st["gather_calls"] += 1
-            st["hits"] += staged.cache_hits
-            st["misses"] += misses
-            st["hit_bytes"] += hit_bytes
-            st["miss_bytes"] += misses * tensor.row_bytes
-            st["remote_bytes_saved"] += hit_bytes
-            st["gather_time"] += t_consume
-            reg.counter("cache_requests_total").inc(rows.size)
-            reg.counter("cache_hits_total").inc(staged.cache_hits)
-            reg.counter("cache_misses_total").inc(misses)
-            reg.counter("cache_remote_bytes_saved_total").inc(hit_bytes)
-            total = (
-                reg.total("cache_hits_total")
-                + reg.total("cache_misses_total")
-            )
-            reg.gauge("cache_hit_rate").set(
-                reg.total("cache_hits_total") / total if total else 0.0,
-                t=now,
+            self.cache.book(
+                self.rank, int(rows.size), staged.cache_hits,
+                staged.cache_hits * tensor.row_bytes, t_consume, now,
             )
         self.times += PhaseTimes(gather=t_consume)
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.dsm import HostPinnedTensor
+from repro.dsm import TieredTensor
 from repro.graph import MultiGpuGraphStore, load_dataset
 from repro.graph.csr import CSRGraph
 from repro.hardware import SimNode
@@ -25,7 +25,7 @@ from tests.test_nn_tensor import numeric_grad
 
 def test_host_pinned_gather_correct(rng):
     node = SimNode()
-    t = HostPinnedTensor(node, 300, 4)
+    t = TieredTensor(node, 300, 4, host_pinned_fraction=1.0)
     host = rng.standard_normal((300, 4)).astype(np.float32)
     t.load_from_host(host)
     rows = np.array([0, 299, 17])
@@ -40,7 +40,7 @@ def test_host_pinned_much_slower_than_device(rng):
     from repro.dsm import WholeTensor
 
     node = SimNode()
-    host_t = HostPinnedTensor(node, 10_000, 128)
+    host_t = TieredTensor(node, 10_000, 128, host_pinned_fraction=1.0)
     dev_t = WholeTensor(node, 10_000, 128, charge_setup=False)
     rows = rng.integers(0, 10_000, size=5000)
     node.reset_clocks()
@@ -54,7 +54,7 @@ def test_host_pinned_much_slower_than_device(rng):
 
 def test_host_pinned_accounting_on_host_ledger():
     node = SimNode()
-    HostPinnedTensor(node, 100, 8, tag="feature")
+    TieredTensor(node, 100, 8, tag="feature", host_pinned_fraction=1.0)
     assert node.host_memory.usage_by_tag()["feature"] == 100 * 8 * 4
     assert node.total_memory_usage() == 0  # no GPU memory used
 
@@ -62,13 +62,13 @@ def test_host_pinned_accounting_on_host_ledger():
 def test_store_feature_location_host(small_dataset):
     node = SimNode()
     store = MultiGpuGraphStore(node, small_dataset, seed=0,
-                               feature_location="host_pinned")
+                               tier="host_pinned")
     s = np.array([0, 7])
     got = store.gather_features(s, 0)
     orig = store.partition.to_original[s]
     assert np.allclose(got, small_dataset.features[orig])
     with pytest.raises(ValueError):
-        MultiGpuGraphStore(node, small_dataset, feature_location="floppy")
+        MultiGpuGraphStore(node, small_dataset, tier="floppy")
 
 
 def test_trainer_runs_on_host_pinned_store(small_dataset):
@@ -76,7 +76,7 @@ def test_trainer_runs_on_host_pinned_store(small_dataset):
 
     node = SimNode()
     store = MultiGpuGraphStore(node, small_dataset, seed=0,
-                               feature_location="host_pinned")
+                               tier="host_pinned")
     tr = WholeGraphTrainer(store, "gcn", seed=0, batch_size=32,
                            fanouts=[5], hidden=8, lr=0.02, dropout=0.0)
     stats = tr.train_epoch(max_iterations=2)

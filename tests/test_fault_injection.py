@@ -127,6 +127,34 @@ def test_reply_loss_outside_window_is_free(registry, small_dataset):
     assert registry.total("retries_total") == 0.0
 
 
+@pytest.mark.parametrize(
+    "event", [LinkDegradation(factor=4.0), GatherReplyLoss(probability=0.5)],
+    ids=["link_degradation", "reply_loss"],
+)
+def test_faults_slow_host_pinned_gathers(registry, medium_dataset, event):
+    """Host-pinned feature reads cross the host fabric like any other
+    gather: a degraded link dilates them and lost replies are retried."""
+
+    def phase_totals(plan):
+        store = MultiGpuGraphStore(
+            SimNode(), medium_dataset, seed=0, tier="host_pinned"
+        )
+        tr = WholeGraphTrainer(
+            store, "graphsage", seed=3, fault_plan=plan, **TRAIN_KW
+        )
+        tr.train_epoch(max_iterations=4)
+        node = store.node
+        return node.timeline.phase_breakdown(node.gpu_memory[0].device)
+
+    clean = phase_totals(None)
+    faulted = phase_totals(FaultPlan(events=[event], seed=5))
+    if isinstance(event, LinkDegradation):
+        assert faulted["gather"] > 3.0 * clean["gather"]
+    else:
+        assert faulted.get("gather_retry", 0.0) > 0.0
+        assert registry.total("retries_total") > 0
+
+
 # -- empty plan == no plan (the determinism contract) -------------------------------
 
 

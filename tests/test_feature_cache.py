@@ -170,5 +170,5 @@ def test_cache_requires_device_features(small_dataset):
     with pytest.raises(ValueError):
         MultiGpuGraphStore(
             SimNode(), small_dataset, seed=0,
-            feature_location="host_pinned", cache_ratio=0.1,
+            tier="host_pinned", cache_ratio=0.1,
         )
