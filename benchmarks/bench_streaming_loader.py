@@ -20,12 +20,11 @@ feeds to ``python -m repro.telemetry.analysis --max-exposed-host-frac``.
 """
 
 import json
-from dataclasses import replace
 
 from benchmarks.conftest import RESULTS_DIR, run_once
 from repro.graph import MultiGpuGraphStore, load_dataset
 from repro.hardware import SimNode
-from repro.hardware.spec import dgx_a100
+from repro.hardware.spec import NodeSpec, dgx_a100
 from repro.telemetry import metrics
 from repro.telemetry.report import format_table
 from repro.train import WholeGraphTrainer
@@ -46,9 +45,8 @@ def _dataset():
 
 
 def _tiny_hbm_node() -> SimNode:
-    spec = dgx_a100()
-    return SimNode(replace(spec, gpu=replace(spec.gpu,
-                                             memory_capacity=TINY_HBM)))
+    return SimNode(NodeSpec(num_gpus=dgx_a100().num_gpus,
+                            gpu_memory_capacity=TINY_HBM))
 
 
 def _train_once(*, streaming, prefetch_depth=2):

@@ -22,19 +22,12 @@ from repro.hardware.machine import SimNode
 class Communicator:
     """Collective communication over the GPUs of one node."""
 
-    def __init__(self, node: SimNode, bandwidth: float | None = None,
-                 latency: float | None = None):
+    def __init__(self, node: SimNode):
         self.node = node
         self.num_ranks = node.num_gpus
         # NCCL sustains ~80% of the NVLink line rate on alltoall traffic
-        self.bandwidth = (
-            bandwidth
-            if bandwidth is not None
-            else node.spec.nvlink.bandwidth * config.NCCL_BW_EFFICIENCY
-        )
-        self.latency = (
-            latency if latency is not None else node.spec.nvlink.latency
-        )
+        self.bandwidth = config.NVLINK_UNIDIR_BW * config.NCCL_BW_EFFICIENCY
+        self.latency = config.P2P_BASE_LATENCY
 
     def _effective_bandwidth(self, t: float) -> float:
         """Bandwidth at simulated time ``t``, after any injected fabric

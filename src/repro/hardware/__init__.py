@@ -6,8 +6,6 @@ on:
 
 - per-GPU device memory with an allocator and usage accounting
   (:mod:`repro.hardware.memory`),
-- the NVSwitch / PCIe / host interconnect topology
-  (:mod:`repro.hardware.topology`),
 - per-device simulated clocks and a phase timeline
   (:mod:`repro.hardware.clock`),
 - the cost model converting work into simulated time
@@ -16,16 +14,13 @@ on:
   machine bundle (:mod:`repro.hardware.machine`).
 """
 
-from repro.hardware.spec import GpuSpec, LinkSpec, NodeSpec, dgx_a100
+from repro.hardware.spec import NodeSpec, dgx_a100
 from repro.hardware.memory import DeviceMemory, Allocation, OutOfDeviceMemory
 from repro.hardware.clock import SimClock, Timeline, Span
-from repro.hardware.topology import Topology, build_dgx_topology
 from repro.hardware.machine import SimNode
 from repro.hardware import costmodel
 
 __all__ = [
-    "GpuSpec",
-    "LinkSpec",
     "NodeSpec",
     "dgx_a100",
     "DeviceMemory",
@@ -34,8 +29,6 @@ __all__ = [
     "SimClock",
     "Timeline",
     "Span",
-    "Topology",
-    "build_dgx_topology",
     "SimNode",
     "costmodel",
 ]

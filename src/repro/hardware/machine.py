@@ -1,8 +1,7 @@
 """The :class:`SimNode` machine bundle.
 
 A ``SimNode`` is one simulated machine: a :class:`~repro.hardware.spec.NodeSpec`,
-its interconnect :class:`~repro.hardware.topology.Topology`, one
-:class:`~repro.hardware.memory.DeviceMemory` and one
+one :class:`~repro.hardware.memory.DeviceMemory` and one
 :class:`~repro.hardware.clock.SimClock` per GPU, a host clock, and a shared
 :class:`~repro.hardware.clock.Timeline`.  Everything above this layer (the
 DSM library, the graph store, the training pipelines) takes a ``SimNode``.
@@ -13,7 +12,14 @@ from __future__ import annotations
 from repro.hardware.clock import SimClock, Timeline
 from repro.hardware.memory import DeviceMemory
 from repro.hardware.spec import NodeSpec, dgx_a100
-from repro.hardware.topology import HOST, Topology, build_dgx_topology, gpu_name
+
+#: device name of the host CPU/DRAM (its clock and memory ledger)
+HOST = "host"
+
+
+def gpu_name(i: int) -> str:
+    """Device name of GPU ``i`` (its clock and memory ledger)."""
+    return f"gpu{i}"
 
 
 class SimNode:
@@ -22,11 +28,10 @@ class SimNode:
     def __init__(self, spec: NodeSpec | None = None, node_id: int = 0):
         self.spec = spec if spec is not None else dgx_a100()
         self.node_id = node_id
-        self.topology: Topology = build_dgx_topology(self.spec)
         self.timeline = Timeline()
         prefix = f"n{node_id}." if node_id else ""
         self.gpu_memory = [
-            DeviceMemory(prefix + gpu_name(i), self.spec.gpu.memory_capacity)
+            DeviceMemory(prefix + gpu_name(i), self.spec.gpu_memory_capacity)
             for i in range(self.spec.num_gpus)
         ]
         self.gpu_clock = [

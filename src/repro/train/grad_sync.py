@@ -91,24 +91,16 @@ class GradSyncModel:
         param_nbytes: list[int],
         bucket_cap_mb: float | None = None,
         overlap: bool = True,
-        bandwidth: float | None = None,
-        latency: float | None = None,
     ):
         self.nodes = list(nodes) if isinstance(nodes, (list, tuple)) else [nodes]
-        node = self.nodes[0]
         self.bucket_cap_mb = (
             config.DDP_BUCKET_CAP_MB if bucket_cap_mb is None
             else float(bucket_cap_mb)
         )
         self.overlap = bool(overlap)
         self.param_nbytes = [int(n) for n in param_nbytes]
-        self.bandwidth = (
-            bandwidth if bandwidth is not None
-            else node.spec.nvlink.bandwidth * config.NCCL_BW_EFFICIENCY
-        )
-        self.latency = (
-            latency if latency is not None else node.spec.nvlink.latency
-        )
+        self.bandwidth = config.NVLINK_UNIDIR_BW * config.NCCL_BW_EFFICIENCY
+        self.latency = config.P2P_BASE_LATENCY
         self.buckets = assign_buckets(self.param_nbytes, self.bucket_cap_mb)
         self.bucket_nbytes = [
             sum(self.param_nbytes[i] for i in b) for b in self.buckets
@@ -185,8 +177,8 @@ def allreduce_cost(node: SimNode, grad_nbytes: int) -> float:
     return costmodel.allreduce_time(
         grad_nbytes,
         node.num_gpus,
-        node.spec.nvlink.bandwidth,
-        node.spec.nvlink.latency,
+        config.NVLINK_UNIDIR_BW,
+        config.P2P_BASE_LATENCY,
     )
 
 

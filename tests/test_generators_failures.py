@@ -15,7 +15,7 @@ from repro.graph.generators import (
 )
 from repro.hardware import SimNode
 from repro.hardware.memory import OutOfDeviceMemory
-from repro.hardware.spec import NodeSpec, a100, dgx_a100
+from repro.hardware.spec import NodeSpec, dgx_a100
 from repro.utils.rng import spawn_rng
 
 
@@ -102,21 +102,8 @@ def test_random_features_standardised():
 
 def tiny_gpu_node(capacity_bytes: int) -> SimNode:
     """A DGX whose GPUs have almost no memory."""
-    base = dgx_a100()
-    gpu = a100()
-    small_gpu = type(gpu)(
-        **{**gpu.__dict__, "memory_capacity": capacity_bytes}
-    )
-    spec = NodeSpec(
-        name="tiny",
-        num_gpus=base.num_gpus,
-        gpu=small_gpu,
-        nvlink=base.nvlink,
-        pcie=base.pcie,
-        gpus_per_pcie_switch=base.gpus_per_pcie_switch,
-        inter_node=base.inter_node,
-    )
-    return SimNode(spec)
+    return SimNode(NodeSpec(num_gpus=dgx_a100().num_gpus,
+                            gpu_memory_capacity=capacity_bytes))
 
 
 def test_store_build_fails_cleanly_on_oom(small_dataset):

@@ -1,72 +1,9 @@
-"""DGX topology wiring and the cost-model anchor points (paper numbers)."""
-
-import json
-import pathlib
+"""The cost-model anchor points (paper numbers) and the node barrier."""
 
 import pytest
 
-from repro import config
 from repro.config import GB, US
 from repro.hardware import SimNode, costmodel
-from repro.hardware.spec import dgx_a100
-from repro.hardware.topology import HOST, build_dgx_topology
-
-
-@pytest.fixture(scope="module")
-def topo():
-    return build_dgx_topology(dgx_a100())
-
-
-def test_gpu_count_and_kinds(topo):
-    assert len(topo.endpoints("gpu")) == 8
-    assert HOST in topo.endpoints("host")
-
-
-#: routes (link names) from every GPU and the host to every other endpoint,
-#: plus the endpoint and link order, at 1-8 GPUs, as recorded from
-#: networkx's ``shortest_path``
-ROUTES = pathlib.Path(__file__).parent / "topology_routes.json"
-
-
-@pytest.mark.parametrize("num_gpus", range(1, 9))
-def test_route_table_matches_recorded(num_gpus):
-    want = json.loads(ROUTES.read_text())[str(num_gpus)]
-    topo = build_dgx_topology(dgx_a100(num_gpus))
-    assert topo.endpoints() == want["endpoints"]
-    assert topo.link_names() == want["link_names"]
-    got = {
-        src: {
-            dst: [link.name for link in topo.path(src, dst)]
-            for dst in topo.endpoints()
-            if dst != src
-        }
-        for src in topo.endpoints("gpu") + [HOST]
-    }
-    assert got == want["routes"]
-
-
-def test_unknown_endpoint_named_in_error(topo):
-    with pytest.raises(ValueError, match="gpu9"):
-        topo.path("gpu0", "gpu9")
-
-
-def test_gpu_to_gpu_goes_through_nvswitch(topo):
-    path = topo.path("gpu0", "gpu5")
-    assert [l.spec.kind for l in path] == ["nvlink", "nvlink"]
-    assert topo.effective_bandwidth("gpu0", "gpu5") == config.NVLINK_UNIDIR_BW
-
-
-def test_host_bandwidth_shared_by_pcie_pair(topo):
-    # paper §III-B: 2 GPUs share one x16 uplink -> 16 GB/s per GPU
-    assert topo.effective_bandwidth("gpu0", HOST) == 16 * GB
-    assert topo.effective_bandwidth("gpu0", HOST, concurrent=False) == 32 * GB
-
-
-def test_paper_transfer_speedup_ratio(topo):
-    """The 18.75x theoretical bandwidth advantage (paper §III-B)."""
-    nvlink = topo.effective_bandwidth("gpu0", "gpu1")
-    pcie = topo.effective_bandwidth("gpu0", HOST)
-    assert nvlink / pcie == pytest.approx(18.75)
 
 
 def test_table1_p2p_latency_anchors():

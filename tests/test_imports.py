@@ -56,8 +56,8 @@ def test_every_package_and_ops_module_imports_first():
 
 
 def test_no_module_imports_networkx():
-    """The topology's route search is a plain BFS: importing every package
-    leaves networkx unloaded."""
+    """Nothing in the package needs networkx: importing every package
+    leaves it unloaded."""
     code = "\n".join(f"import {m}" for m in _modules())
     proc = _run(code + "\nimport sys\nprint('networkx' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
