@@ -7,8 +7,8 @@ the node.
 """
 
 from repro.graph.csr import CSRGraph
-from repro.graph.builder import csr_from_chunks, from_edge_list
-from repro.graph.generators import rmat_edges, rmat_edges_chunked
+from repro.graph.builder import from_edge_list
+from repro.graph.generators import rmat_edges
 from repro.graph.partition import HashPartition, hash_partition
 from repro.graph.storage import MultiGpuGraphStore
 from repro.graph.bipartite import (
@@ -27,9 +27,7 @@ from repro.graph.datasets import (
 __all__ = [
     "CSRGraph",
     "from_edge_list",
-    "csr_from_chunks",
     "rmat_edges",
-    "rmat_edges_chunked",
     "HashPartition",
     "hash_partition",
     "MultiGpuGraphStore",

@@ -51,35 +51,6 @@ def rmat_edges(
     return src % num_nodes, dst % num_nodes
 
 
-def rmat_edges_chunked(
-    num_nodes: int,
-    num_edges: int,
-    rng: np.random.Generator,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    chunk_edges: int = 16_000_000,
-):
-    """Yield :func:`rmat_edges` output in chunks of ``chunk_edges``.
-
-    Papers100M-scale generation (3.2 B stored directed edges) cannot hold
-    the full COO in memory: the monolithic generator peaks at
-    ``scale * 8 B * num_edges`` of temporaries.  This generator caps peak
-    memory at ``O(chunk_edges)`` — each chunk runs the same per-edge R-MAT
-    recursion, so the concatenated stream is distributed identically to a
-    single :func:`rmat_edges` call (though not bitwise equal for a given
-    ``rng``, since draws are batched differently).  Feed the stream to
-    :func:`repro.graph.builder.csr_from_chunks`.
-    """
-    if chunk_edges < 1:
-        raise ValueError("chunk_edges must be >= 1")
-    remaining = int(num_edges)
-    while remaining > 0:
-        n = min(int(chunk_edges), remaining)
-        yield rmat_edges(num_nodes, n, rng, a=a, b=b, c=c)
-        remaining -= n
-
-
 def homophilous_edges(
     num_nodes: int,
     num_edges: int,
