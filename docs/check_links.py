@@ -21,7 +21,6 @@ cross-reference fails the build.
 from __future__ import annotations
 
 import re
-import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

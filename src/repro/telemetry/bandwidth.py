@@ -14,8 +14,8 @@ definitions coexist, and each figure uses exactly one:
   fabric.  :func:`bus_bw` implements it; the Fig. 8 segment-size sweep uses
   it (its row placement is uniform by construction), and
   :func:`bw_from_gather_stats` falls back to it when remote bytes were not
-  recorded (e.g. :class:`HostPinnedTensor` stats, where all traffic is PCIe
-  and the split is meaningless).
+  recorded (e.g. :class:`~repro.dsm.tiered_tensor.TieredTensor` stats, where
+  all traffic crosses PCIe or disk and the split is meaningless).
 """
 
 from __future__ import annotations
