@@ -218,13 +218,13 @@ class TieredTensor:
                 "tensor": self.tag}
         return t, args, hit_bytes
 
-    def book_cached_read(self, args: dict, now: float) -> None:
-        """Per-link and per-tier ledgers of a cached read priced by
-        :meth:`cached_read_cost` (hits are HBM bytes)."""
-        metrics.get_registry().counter(
-            "gather_link_bytes_total", link="hbm"
-        ).inc(args["cache_hits"] * self.row_bytes, t=now)
-        self._book_tiers(args, now)
+    @staticmethod
+    def fabric_share(args: dict) -> float:
+        """The share of a cached read's bytes that crossed the host
+        fabric: its warm and cold misses."""
+        if not args["bytes"]:
+            return 0.0
+        return (args["host_bytes"] + args["disk_bytes"]) / args["bytes"]
 
     # -- gathers ---------------------------------------------------------------
 
@@ -241,11 +241,8 @@ class TieredTensor:
         clock = self.node.gpu_clock[rank]
         injector = self.node.fault_injector
         if injector is not None:
-            t = injector.scale_gather_time(
-                t, 1.0, clock.now, self.node.node_id
-            )
-            injector.charge_gather_retries(
-                clock, phase="gather_retry", node_id=self.node.node_id
+            t = injector.faulted_gather_time(
+                t, 1.0, clock, self.node.node_id
             )
         clock.advance(t, phase=phase, category="gather", args=args)
         self._account(args, t, clock.now)
@@ -256,6 +253,9 @@ class TieredTensor:
         return self._read(self._check_rows(rows))
 
     def _account(self, args: dict, t: float, now: float) -> None:
+        """Book one read of ``t`` seconds (span ``args``) into the stats
+        and the ``gather_*``, per-link and per-tier ledgers; a read through
+        the HBM cache also books its hits as HBM bytes."""
         st = self.stats
         st["gather_calls"] += 1
         st["gather_rows"] += args["rows"]
@@ -270,14 +270,12 @@ class TieredTensor:
         reg.histogram("gather_rows_per_call", tensor=self.tag).observe(
             args["rows"]
         )
-        self._book_tiers(args, now)
-
-    @staticmethod
-    def _book_tiers(args: dict, now: float) -> None:
-        """Per-link and per-tier ledgers of a host/disk read: warm bytes
-        ride PCIe, cold bytes are attributed to the disk stage (their PCIe
-        hop is implied by the chain)."""
-        reg = metrics.get_registry()
+        if "cache_hits" in args:
+            reg.counter("gather_link_bytes_total", link="hbm").inc(
+                args["cache_hits"] * self.row_bytes, t=now
+            )
+        # warm bytes ride PCIe; cold bytes are attributed to the disk stage
+        # (their PCIe hop is implied by the chain)
         reg.counter("gather_link_bytes_total", link="pcie").inc(
             args["host_bytes"], t=now
         )

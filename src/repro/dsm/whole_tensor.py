@@ -239,7 +239,6 @@ class WholeTensor:
 
         total_bytes = rows.size * self.row_bytes
         remote = self._remote_fraction(rows, rank)
-        remote_bytes = int(round(total_bytes * remote))
         t = costmodel.gather_time(
             total_bytes,
             self.row_bytes,
@@ -251,38 +250,41 @@ class WholeTensor:
         if injector is not None:
             # degraded fabric slows only the NVLink-crossing share; lost
             # replies cost timeout+backoff stalls before the re-issue lands
-            t = injector.scale_gather_time(
-                t, remote, clock.now, self.node.node_id
+            t = injector.faulted_gather_time(
+                t, remote, clock, self.node.node_id
             )
-            injector.charge_gather_retries(
-                clock, phase="gather_retry", node_id=self.node.node_id
-            )
-        clock.advance(
-            t, phase=phase, category="gather",
-            args={"rows": int(rows.size), "bytes": int(total_bytes),
-                  "remote_bytes": remote_bytes, "tensor": self.tag},
-        )
-        self.stats["gather_calls"] += 1
-        self.stats["gather_rows"] += int(rows.size)
-        self.stats["gather_bytes"] += int(total_bytes)
-        self.stats["gather_remote_bytes"] += remote_bytes
-        self.stats["gather_time"] += t
+        args = {"rows": int(rows.size), "bytes": int(total_bytes),
+                "remote_bytes": int(round(total_bytes * remote)),
+                "tensor": self.tag}
+        clock.advance(t, phase=phase, category="gather", args=args)
+        self._account(args, t, clock.now)
+        return out
+
+    def _account(self, args: dict, t: float, now: float) -> None:
+        """Book one read of ``t`` seconds (span ``args``) into the stats
+        and the ``gather_*`` ledgers: remote bytes ride NVLink, the rest
+        is HBM."""
+        remote_bytes = args["remote_bytes"]
+        st = self.stats
+        st["gather_calls"] += 1
+        st["gather_rows"] += args["rows"]
+        st["gather_bytes"] += args["bytes"]
+        st["gather_remote_bytes"] += remote_bytes
+        st["gather_time"] += t
 
         reg = metrics.get_registry()
-        now = clock.now
         reg.counter("gather_requests_total", tensor=self.tag).inc(1)
-        reg.counter("gather_rows_total", tensor=self.tag).inc(rows.size)
+        reg.counter("gather_rows_total", tensor=self.tag).inc(args["rows"])
         reg.counter("gather_link_bytes_total", link="nvlink").inc(
             remote_bytes, t=now
         )
         reg.counter("gather_link_bytes_total", link="hbm").inc(
-            total_bytes - remote_bytes, t=now
+            args["bytes"] - remote_bytes, t=now
         )
         reg.counter("gather_seconds_total", tensor=self.tag).inc(t)
         reg.histogram("gather_rows_per_call", tensor=self.tag).observe(
-            rows.size
+            args["rows"]
         )
-        return out
 
     def gather_no_cost(self, rows) -> np.ndarray:
         """Functional gather without clock charging (evaluation paths)."""
@@ -322,17 +324,10 @@ class WholeTensor:
                 "remote_bytes": int(remote_miss * rb)}
         return t, args, int(np.count_nonzero(hit & remote)) * rb
 
-    def book_cached_read(self, args: dict, now: float) -> None:
-        """Per-link ledger of a cached read priced by
-        :meth:`cached_read_cost`: remote misses ride NVLink, everything
-        else is HBM."""
-        reg = metrics.get_registry()
-        reg.counter("gather_link_bytes_total", link="nvlink").inc(
-            args["remote_bytes"], t=now
-        )
-        reg.counter("gather_link_bytes_total", link="hbm").inc(
-            args["bytes"] - args["remote_bytes"], t=now
-        )
+    @staticmethod
+    def fabric_share(args: dict) -> float:
+        """The share of a cached read's bytes that crossed NVLink."""
+        return args["remote_bytes"] / args["bytes"] if args["bytes"] else 0.0
 
     def scatter_no_cost(self, rows, values: np.ndarray) -> None:
         """Functional scatter without clock charging (restore/update paths)."""

@@ -127,17 +127,34 @@ def test_reply_loss_outside_window_is_free(registry, small_dataset):
     assert registry.total("retries_total") == 0.0
 
 
+_CACHED_DEVICE = dict(cache_ratio=0.1)
+_CACHED_TIERED = dict(tier="tiered", host_pinned_fraction=0.4, cache_ratio=0.1)
+
+
 @pytest.mark.parametrize(
-    "event", [LinkDegradation(factor=4.0), GatherReplyLoss(probability=0.5)],
-    ids=["link_degradation", "reply_loss"],
+    "store_kw, event",
+    [
+        (dict(tier="host_pinned"), LinkDegradation(factor=4.0)),
+        (dict(tier="host_pinned"), GatherReplyLoss(probability=0.5)),
+        (_CACHED_DEVICE, LinkDegradation(factor=4.0)),
+        (_CACHED_DEVICE, GatherReplyLoss(probability=0.5)),
+        (_CACHED_TIERED, LinkDegradation(factor=4.0)),
+        (_CACHED_TIERED, GatherReplyLoss(probability=0.5)),
+    ],
+    ids=["link_degradation", "reply_loss",
+         "cached_device-link_degradation", "cached_device-reply_loss",
+         "cached_tiered-link_degradation", "cached_tiered-reply_loss"],
 )
-def test_faults_slow_host_pinned_gathers(registry, medium_dataset, event):
-    """Host-pinned feature reads cross the host fabric like any other
-    gather: a degraded link dilates them and lost replies are retried."""
+def test_faults_slow_host_pinned_gathers(
+    registry, medium_dataset, store_kw, event
+):
+    """Feature reads off the host or through the HBM cache cross the
+    fabric like any other gather: a degraded link dilates their
+    fabric-crossing share and lost replies are retried."""
 
     def phase_totals(plan):
         store = MultiGpuGraphStore(
-            SimNode(), medium_dataset, seed=0, tier="host_pinned"
+            SimNode(), medium_dataset, seed=0, **store_kw
         )
         tr = WholeGraphTrainer(
             store, "graphsage", seed=3, fault_plan=plan, **TRAIN_KW

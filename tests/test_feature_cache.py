@@ -172,3 +172,26 @@ def test_cache_requires_device_features(small_dataset):
             SimNode(), small_dataset, seed=0,
             tier="host_pinned", cache_ratio=0.1,
         )
+
+
+@pytest.mark.parametrize(
+    "store_kw",
+    [dict(cache_ratio=0.1),
+     dict(tier="tiered", host_pinned_fraction=0.4, cache_ratio=0.1)],
+    ids=["device", "tiered"],
+)
+def test_cached_run_report_has_bandwidths(registry, small_dataset, store_kw):
+    """A cached read books into the feature tensor's own gather ledger, so
+    the run report derives its bandwidth block from cached runs too."""
+    from repro.train import WholeGraphTrainer
+
+    store = MultiGpuGraphStore(SimNode(), small_dataset, seed=0, **store_kw)
+    tr = WholeGraphTrainer(
+        store, "graphsage", seed=3, batch_size=32, fanouts=[5, 5], hidden=16
+    )
+    tr.train_epoch(max_iterations=2)
+    tensor = store.feature_tensor
+    assert tensor.stats["gather_calls"] == 2
+    assert registry.counter("gather_requests_total", tensor=tensor.tag).value == 2
+    bw = tr.run_report().bandwidths
+    assert bw and bw["algo_bw"] > 0
