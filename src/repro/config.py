@@ -229,12 +229,6 @@ NCCL_LL_LATENCY_FACTOR = 0.35
 #: per 8-byte store => ~half the line rate).  [public]
 NCCL_LL_BW_FACTOR = 0.5
 
-#: Fraction of a training step spent in the backward pass — the window in
-#: which gradients become ready and bucket all-reduces can hide.  With the
-#: 1:2 forward:backward FLOP rule and a small optimizer tail, backward is
-#: ~60% of fwd+bwd+update.  [fit]
-TRAIN_BACKWARD_FRACTION = 0.6
-
 #: Fraction of NVLink line rate NCCL sustains on alltoall(v) traffic
 #: (protocol overhead, chunking).  [public: NCCL achieves ~80% on DGX]
 NCCL_BW_EFFICIENCY = 0.8

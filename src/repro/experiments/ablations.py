@@ -43,6 +43,7 @@ from repro import config
 from repro.experiments.common import get_dataset
 from repro.graph import MultiGpuGraphStore
 from repro.hardware import SimNode, costmodel
+from repro.nn.models import block_shapes
 from repro.ops.neighbor_sampler import NeighborSampler
 from repro.ops.spmm import atomic_elision_stats
 from repro.telemetry.report import format_table
@@ -320,8 +321,9 @@ def bucket_cap_sweep(
 ) -> list[dict]:
     """Comm schedule across bucket capacities (cap 0 = one flat bucket).
 
-    One training step is measured to fix the model's parameter layout and
-    backward window; each capacity is then *planned* against that window.
+    One sampled step's cost ledger fixes the model's parameter layout and
+    its gradients' ready offsets; each capacity is then *planned* against
+    those offsets.
     The sweep exposes both regimes of the chunked-ring model: tiny buckets
     multiply the per-collective launch + hop latencies (total comm blows
     up), while a single flat buffer serializes after backward (everything
@@ -334,8 +336,9 @@ def bucket_cap_sweep(
         store, "graphsage", seed=seed, batch_size=batch_size,
         fanouts=list(fanouts),
     )
-    stats = trainer.train_epoch(max_iterations=1)
-    window = stats.times.train * config.TRAIN_BACKWARD_FRACTION
+    batch = trainer._task.batches(trainer, 1)[0]
+    sg = trainer.sampler.sample(batch, 0, trainer.rngs.rank(0))
+    offsets = trainer.model.step_costs(block_shapes(sg)).ready_offsets(1.0)
     param_nbytes = [
         p.data.nbytes for p in trainer.model.parameters()
     ]
@@ -343,7 +346,7 @@ def bucket_cap_sweep(
     for cap in caps_mb:
         model = GradSyncModel(node, param_nbytes, bucket_cap_mb=cap,
                               overlap=True)
-        plan = model.plan([(0.0, window)])
+        plan = model.plan([(0.0, offsets)])
         rows.append({
             "bucket_cap_mb": cap,
             "buckets": plan.num_buckets,

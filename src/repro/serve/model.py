@@ -96,9 +96,11 @@ class FrozenModel:
 
     # -- cost model -----------------------------------------------------------
 
-    def estimate_inference_time(self, subgraph: SampledSubgraph) -> float:
-        """Simulated seconds of one forward pass over ``subgraph``."""
-        return self._module.estimate_inference_time(subgraph)
+    def step_costs(self, shapes):
+        """The snapshot module's per-layer cost ledger
+        (:class:`~repro.nn.models.StepCosts`); serving prices its forward
+        entries."""
+        return self._module.step_costs(shapes)
 
     @property
     def num_layers(self) -> int:

@@ -9,8 +9,9 @@ Two modes, by what survives of the run:
   provenance log), i.e. runs in the same process as the simulation.
 - **report mode** (:func:`analyze_report`) — manifest-only: phase
   attribution from ``phase_totals``, overlap from the metrics-ledger
-  snapshot, phase-arithmetic what-if bounds.  This is what the CLI runs on
-  a saved RunReport/ServeReport JSON, and what the CI analysis gate uses.
+  snapshot, the per-layer train ledger, phase-arithmetic what-if bounds.
+  This is what the CLI runs on a saved RunReport/ServeReport JSON, and
+  what the CI analysis gate uses.
 """
 
 from __future__ import annotations
@@ -84,6 +85,20 @@ def analyze_node(nodes, metrics=None, name: str = "run") -> AnalysisReport:
     )
 
 
+def _train_ledger(metrics: dict | None) -> dict:
+    """The ``train_seconds_total{layer, pass, op}`` rows of a metrics
+    snapshot as ``{layer: {pass: {op: seconds}}}``; they sum to the
+    snapshot's ``phase_seconds_total{phase="train"}``."""
+    out: dict = {}
+    for key, entry in (metrics or {}).items():
+        if key.startswith("train_seconds_total{"):
+            labels = entry["labels"]
+            out.setdefault(labels["layer"], {}).setdefault(
+                labels["pass"], {}
+            )[labels["op"]] = float(entry["value"])
+    return out
+
+
 def analyze_report(
     data: dict, baseline: dict | None = None, name: str | None = None,
 ) -> AnalysisReport:
@@ -115,6 +130,7 @@ def analyze_report(
             "blame_phase": phase_totals,
         }
     report.overlap = overlap_report(data.get("metrics"))
+    report.train_ledger = _train_ledger(data.get("metrics"))
     report.whatif = report_whatif(phase_totals, epoch)["scenarios"]
     report.notes.append(
         "report mode: blame is the phase-totals table and what-ifs are "

@@ -17,6 +17,7 @@ The acceptance criteria of the analysis subsystem:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -425,6 +426,28 @@ class TestReportModeAndCli:
         assert report.whatif, "phase-arithmetic what-ifs expected"
         text = render_text(report)
         assert "critical path" in text and "what-if" in text
+
+    def test_cli_prints_train_ledger_summing_to_train_phase(
+        self, capsys, tmp_path
+    ):
+        """Report mode prints the committed sequential golden's per-layer,
+        per-pass, per-op train ledger; its rows sum to the train phase."""
+        golden = Path(__file__).parent / "golden" / "train_sequential.json"
+        data = json.loads(golden.read_text())
+        ledger = analyze_report(data).train_ledger
+        assert set(ledger) == {"0", "1", "all"}
+        assert set(ledger["0"]) == {"forward", "backward"}
+        assert set(ledger["all"]) == {"optimizer"}
+        rows = [t for passes in ledger.values() for ops in passes.values()
+                for t in ops.values()]
+        assert len(rows) == 4 * 5
+        train = data["metrics"]["phase_seconds_total{phase=train}"]["value"]
+        assert sum(rows) == pytest.approx(train, rel=1e-9)
+        rc = analysis_main([str(golden), "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "train ledger" in out
+        assert "backward" in out and "optimizer" in out
 
     def test_cli_writes_artifact_and_gates(self, registry, medium_dataset,
                                            tmp_path, capsys):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import config
 from repro.nn import GATConv, GCNConv, SAGEConv, Tensor, build_model
 from repro.nn import functional as F
-from repro.nn.models import GAT, GCN, MODEL_NAMES, GraphSage
+from repro.nn.models import GAT, GCN, MODEL_NAMES, GraphSage, block_shapes
 from repro.ops.neighbor_sampler import LayerBlock, NeighborSampler
 
 
@@ -127,7 +128,7 @@ def test_model_layer_count_mismatch_rejected(small_store, rng):
         model(sg, x)
 
 
-def test_estimate_train_time_positive_and_ordered(small_store, rng):
+def test_train_seconds_positive_and_ordered(small_store, rng):
     """GAT must cost more simulated train time than GCN/SAGE (paper
     §IV-C2's explanation of the smaller GAT speedups)."""
     sampler = NeighborSampler(small_store, [4, 4], charge=False)
@@ -136,7 +137,108 @@ def test_estimate_train_time_positive_and_ordered(small_store, rng):
     for name in MODEL_NAMES:
         m = build_model(name, small_store.feature_dim, 8, rng,
                         hidden=16, num_layers=2)
-        times[name] = m.estimate_train_time(sg)
+        times[name] = m.step_costs(block_shapes(sg)).train_seconds(1.0)
         assert times[name] > 0
     assert times["gat"] > times["gcn"]
     assert times["gat"] > times["graphsage"]
+
+
+# -- the per-layer cost ledger ------------------------------------------------------
+
+
+def _lump_times(model, sg):
+    """A literal transcription of the pre-ledger pricing: the train lump
+    (dense, sparse, activation and optimizer kernels, 3F / 2S / 2A / 8P)
+    and the inference pass (F / S / A), one launch per kernel."""
+    launch = config.KERNEL_LAUNCH_OVERHEAD
+    L = len(model.convs)
+    flops = sparse = 0.0
+    for depth, conv in enumerate(model.convs):
+        b = sg.blocks[L - 1 - depth]
+        cost = conv.estimate_cost(b.num_targets, b.num_src, b.num_edges)
+        flops += cost["flops"]
+        sparse += cost["sparse_bytes"]
+    act = sum(b.num_src * model._width_hint() * 4 for b in sg.blocks)
+    params = sum(p.data.nbytes for p in model.parameters())
+    dense_bw = config.GPU_DENSE_FLOPS
+    sparse_bw = config.GPU_SPARSE_BYTES_PER_S
+    ew_bw = config.GPU_ELEMENTWISE_BYTES_PER_S
+    train = (
+        launch + 3.0 * flops / dense_bw
+        + launch + 2 * sparse / sparse_bw
+        + launch + 2 * act / ew_bw
+        + launch + 8 * params / ew_bw
+    )
+    infer = (
+        launch + flops / dense_bw
+        + launch + sparse / sparse_bw
+        + launch + act / ew_bw
+    )
+    return flops, sparse, act, params, train, infer
+
+
+@pytest.mark.parametrize("num_layers", [2, 3])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_step_costs_sum_to_the_lump(small_store, rng, name, num_layers):
+    """The ledger's work sums exactly to the old lump (3F, 2S, 2A + 8P);
+    only the launch count moves: 2L+1 kernels for a step instead of 4,
+    L for inference instead of 3."""
+    sampler = NeighborSampler(small_store, [4] * num_layers, charge=False)
+    sg = sampler.sample(small_store.train_nodes[:16], 0, rng)
+    model = build_model(name, small_store.feature_dim, 8, rng,
+                        hidden=16, num_layers=num_layers)
+    costs = model.step_costs(block_shapes(sg))
+    flops, sparse, act, params, train, infer = _lump_times(model, sg)
+    compute = costs.compute_entries()
+    assert len(compute) == 2 * num_layers
+    assert [(e.layer, e.kind) for e in compute] == (
+        [(d, "forward") for d in range(num_layers)]
+        + [(d, "backward") for d in reversed(range(num_layers))]
+    )
+    assert sum(e.flops for e in compute) == pytest.approx(3 * flops)
+    assert sum(e.sparse_bytes for e in compute) == pytest.approx(2 * sparse)
+    assert sum(e.elementwise_bytes for e in compute) == 2 * act
+    assert costs.optimizer.elementwise_bytes == 8 * params
+    assert costs.optimizer.flops == costs.optimizer.sparse_bytes == 0.0
+    launch = config.KERNEL_LAUNCH_OVERHEAD
+    assert costs.train_seconds(1.0) == pytest.approx(
+        train + (2 * num_layers - 3) * launch, rel=1e-12
+    )
+    assert costs.forward_seconds(1.0) == pytest.approx(
+        infer + (num_layers - 3) * launch, rel=1e-12
+    )
+    # every entry is one fused kernel; a layer cost factor scales it whole
+    for e in compute + (costs.optimizer,):
+        ops = e.op_seconds(2.5)
+        assert ops["launch"] == 2.5 * launch
+        assert e.seconds(2.5) == pytest.approx(2.5 * e.seconds(1.0))
+
+
+def test_ready_offsets_linear_within_each_layer(small_store, rng):
+    """Backward runs the last conv first; within conv d's entry its
+    gradients arrive in reverse parameter order, linearly in cumulative
+    bytes, and conv 0's first parameter is ready at the backward end."""
+    sampler = NeighborSampler(small_store, [4, 4, 4], charge=False)
+    sg = sampler.sample(small_store.train_nodes[:16], 0, rng)
+    model = build_model("graphsage", small_store.feature_dim, 8, rng,
+                        hidden=16, num_layers=3)
+    costs = model.step_costs(block_shapes(sg))
+    offsets = costs.ready_offsets(1.0)
+    params = model.parameters()
+    assert len(offsets) == len(params)
+    assert offsets[0] == 0.0
+    bwd = [e.seconds(1.0) for e in costs.backward]
+    i = 0
+    end = 0.0
+    for d, conv in enumerate(model.convs):
+        nbytes = [p.data.nbytes for p in conv.parameters()]
+        mine = offsets[i:i + len(nbytes)]
+        # the conv's last parameter starts its entry's production; its
+        # first finishes it at the entry's end
+        assert mine[0] == pytest.approx(end)
+        assert mine[-1] == pytest.approx(
+            end - bwd[d] * (1 - nbytes[-1] / sum(nbytes))
+        )
+        assert mine == sorted(mine, reverse=True)
+        i += len(nbytes)
+        end -= bwd[d]

@@ -129,7 +129,8 @@ def test_ddp_gradient_averaging(small_dataset):
     for r, replica in enumerate(replicas):
         for p in replica.model.parameters():
             p.grad = np.full_like(p.data, float(r))
-    tr.plan.sync_gradients([(replica, 0.0) for replica in replicas])
+    zeros = [0.0] * len(tr.model.parameters())
+    tr.plan.sync_gradients([(replica, zeros) for replica in replicas])
     expected = np.mean(np.arange(len(replicas)))
     for replica in replicas:
         for p in replica.model.parameters():
