@@ -77,7 +77,6 @@ class WholeEmbedding:
         num_rows: int,
         dim: int,
         rng: np.random.Generator | None = None,
-        init_scale: float | None = None,
         tag: str = "embedding",
         partition: str = "cyclic",
         charge_setup: bool = True,
@@ -85,7 +84,7 @@ class WholeEmbedding:
         """``partition`` defaults to ``"cyclic"`` (``owner = row % N``): user
         and item IDs arrive in arbitrary hot/cold mixes, so round-robin is
         the balanced layout.  ``rng`` given: the table is initialised with
-        ``N(0, init_scale)`` rows (default scale ``1/sqrt(dim)``) and the
+        ``N(0, 1/sqrt(dim))`` rows and the
         host->device load is charged on the PCIe streams like a feature
         load."""
         self.table = WholeTensor(
@@ -105,12 +104,9 @@ class WholeEmbedding:
             "grad_time": 0.0,
         }
         if rng is not None:
-            scale = (
-                float(init_scale) if init_scale is not None
-                else 1.0 / float(np.sqrt(dim))
-            )
             init = (
-                rng.standard_normal((num_rows, dim)) * scale
+                rng.standard_normal((num_rows, dim))
+                * (1.0 / float(np.sqrt(dim)))
             ).astype(np.float32)
             self.table.load_from_host(init, phase="embed_load")
 

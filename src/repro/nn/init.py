@@ -6,11 +6,11 @@ import numpy as np
 
 
 def xavier_uniform(
-    shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0
+    shape: tuple[int, ...], rng: np.random.Generator
 ) -> np.ndarray:
-    """Glorot uniform: U(-a, a) with a = gain * sqrt(6 / (fan_in+fan_out))."""
+    """Glorot uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = _fans(shape)
-    a = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape).astype(np.float32)
 
 

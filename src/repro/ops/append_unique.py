@@ -31,6 +31,9 @@ import numpy as np
 from repro.ops.hashtable import EMPTY_KEY, GpuHashTable
 from repro.utils.scan import exclusive_prefix_sum
 
+#: the hash table's load factor: capacity is twice the inserted keys
+LOAD_FACTOR = 0.5
+
 
 @dataclass
 class AppendUniqueResult:
@@ -80,7 +83,6 @@ def append_unique(
     target_nodes,
     neighbor_nodes,
     bucket_size: int = 128,
-    load_factor: float = 0.5,
 ) -> AppendUniqueResult:
     """Append ``neighbor_nodes`` to ``target_nodes``, de-duplicated.
 
@@ -103,7 +105,7 @@ def append_unique(
     neighbors = np.asarray(neighbor_nodes, dtype=np.int64).ravel()
     nt = targets.shape[0]
 
-    capacity = max(int((nt + neighbors.shape[0]) / load_factor), bucket_size)
+    capacity = max(int((nt + neighbors.shape[0]) / LOAD_FACTOR), bucket_size)
     table = GpuHashTable(capacity, bucket_size=bucket_size)
 
     # step 1: targets carry their list index as value (first table of Fig. 5);

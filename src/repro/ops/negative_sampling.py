@@ -15,6 +15,9 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
+#: rejection rounds before the negative sampler gives up
+MAX_ROUNDS = 32
+
 
 def edges_exist(csr: CSRGraph, src, dst) -> np.ndarray:
     """Vectorised membership test: is ``(src[i], dst[i])`` an edge?
@@ -49,17 +52,16 @@ def sample_negative_edges(
     csr: CSRGraph,
     num_samples: int,
     rng: np.random.Generator,
-    max_rounds: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample node pairs that are *not* edges (and not self-loops).
 
     Rejection sampling in vectorised rounds; on sparse graphs one round
     almost always suffices.  Raises if the graph is so dense that
-    ``max_rounds`` redraws cannot find enough non-edges.
+    ``MAX_ROUNDS`` redraws cannot find enough non-edges.
     """
     src = rng.integers(0, csr.num_nodes, size=num_samples).astype(np.int64)
     dst = rng.integers(0, csr.num_nodes, size=num_samples).astype(np.int64)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         bad = (src == dst) | edges_exist(csr, src, dst)
         n_bad = int(bad.sum())
         if n_bad == 0:

@@ -33,6 +33,9 @@ from repro.hardware.clock import Span
 
 __all__ = ["PathEntry", "CriticalPath", "critical_path", "slack_summary"]
 
+#: path spans a report lists, longest first
+TOP_ENTRIES = 50
+
 
 @dataclass(frozen=True)
 class PathEntry:
@@ -148,12 +151,12 @@ class CriticalPath:
         """Latest-finish slack of a path entry (≈0 on the critical path)."""
         return self._slack.get((entry.device, entry.start, entry.end))
 
-    def to_dict(self, top_entries: int = 50) -> dict:
+    def to_dict(self) -> dict:
         """JSON view: blame tables exact, entry list capped at the longest
-        ``top_entries`` path spans (counts/aggregates are never capped)."""
+        ``TOP_ENTRIES`` path spans (counts/aggregates are never capped)."""
         ranked = sorted(
             self.entries, key=lambda e: (-e.duration, e.start)
-        )[:top_entries]
+        )[:TOP_ENTRIES]
         shown = sorted(ranked, key=lambda e: e.start)
         return {
             "makespan": self.makespan,

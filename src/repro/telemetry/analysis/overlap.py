@@ -20,6 +20,8 @@ from __future__ import annotations
 __all__ = ["overlap_report"]
 
 _ABS_TOL = 1e-9
+#: relative tolerance of the ledger reconciliations
+_REL_TOL = 1e-6
 
 
 def _metric_value(metrics, name: str) -> float:
@@ -66,7 +68,7 @@ def _lane_bucket_totals(timelines) -> tuple[float, float, int]:
             per_tl[0][2])
 
 
-def overlap_report(metrics=None, timelines=None, rel_tol: float = 1e-6) -> dict:
+def overlap_report(metrics=None, timelines=None) -> dict:
     """Hidden-vs-exposed comm accounting, reconciled across its two books.
 
     ``metrics`` is a live registry or a snapshot dict; ``timelines`` (when
@@ -106,17 +108,17 @@ def overlap_report(metrics=None, timelines=None, rel_tol: float = 1e-6) -> dict:
             "exposed_fraction": hf_exposed / hf_total,
             "ledger_consistent": (
                 abs(hf_total - (hf_exposed + hf_hidden))
-                <= max(_ABS_TOL, rel_tol * max(hf_total, 1e-30))
+                <= max(_ABS_TOL, _REL_TOL * max(hf_total, 1e-30))
             ),
         }
     # internal consistency of the ledgers themselves
     out["grad_sync"]["ledger_consistent"] = (
         abs(comm - (exposed + hidden))
-        <= max(_ABS_TOL, rel_tol * max(comm, 1e-30))
+        <= max(_ABS_TOL, _REL_TOL * max(comm, 1e-30))
     )
     if timelines is not None:
         lane_exposed, lane_hidden, buckets = _lane_bucket_totals(timelines)
-        tol = max(_ABS_TOL, rel_tol * max(comm, 1e-30))
+        tol = max(_ABS_TOL, _REL_TOL * max(comm, 1e-30))
         out["grad_sync"]["lane"] = {
             "exposed": lane_exposed,
             "hidden": lane_hidden,

@@ -187,18 +187,16 @@ def default_knobs(timelines) -> list[Knob]:
     return knobs
 
 
-def whatif_ranking(timelines, knobs=None) -> dict:
+def whatif_ranking(timelines) -> dict:
     """Replay every knob; rank scenarios by epoch-time saving.
 
     Returns ``{"baseline": identity replay makespan, "scenarios": [...]}``
     with scenarios sorted largest-saving first — the automated "what should
     the next perf PR attack" list.
     """
-    if knobs is None:
-        knobs = default_knobs(timelines)
     base = replay_makespan(timelines, None)
     rows = []
-    for k in knobs:
+    for k in default_knobs(timelines):
         t = replay_makespan(timelines, k.factor)
         delta = base - t
         rows.append({

@@ -150,7 +150,6 @@ def report_from_node(
     kind: str = "run",
     config: dict | None = None,
     seed: int | None = None,
-    registry: MetricsRegistry | None = None,
     feature_stats: dict | None = None,
     cache=None,
     accuracy: float | None = None,
@@ -161,12 +160,11 @@ def report_from_node(
 
     ``feature_stats`` is a :class:`WholeTensor` stats dict (bandwidths are
     derived from it); ``cache`` a :class:`FeatureCache` (its ``summary()``
-    is embedded); ``registry`` defaults to the process registry.
+    is embedded); the metrics are the process registry's.
     """
     from repro.telemetry import metrics
     from repro.telemetry.bandwidth import bw_from_gather_stats
 
-    registry = registry if registry is not None else metrics.get_registry()
     device0 = node.gpu_memory[0].device
     bandwidths = {}
     if feature_stats and feature_stats.get("gather_time", 0.0) > 0:
@@ -181,7 +179,7 @@ def report_from_node(
             [c.now for c in node.gpu_clock] + [node.host_clock.now]
         ),
         bandwidths=bandwidths,
-        metrics=registry.snapshot(),
+        metrics=metrics.get_registry().snapshot(),
         cache=cache.summary() if cache is not None else None,
         accuracy=accuracy,
         history=list(history or []),

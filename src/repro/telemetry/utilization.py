@@ -17,20 +17,20 @@ def utilization_trace(
     timeline: Timeline,
     device: str,
     window: float,
-    t_start: float = 0.0,
     t_end: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(window_centers, utilization%)`` for one device.
+    """Return ``(window_centers, utilization%)`` for one device over
+    ``[0, t_end]``.
 
     ``window`` is the sampling period (``nvidia-smi`` polls ~1 s; the
     experiments use a window that yields ~100 points per run).
     """
     spans = timeline.device_spans(device)
     if t_end is None:
-        t_end = max((s.end for s in spans), default=t_start + window)
-    edges = np.arange(t_start, t_end + window, window)
+        t_end = max((s.end for s in spans), default=window)
+    edges = np.arange(0.0, t_end + window, window)
     if edges.shape[0] < 2:
-        edges = np.array([t_start, t_start + window])
+        edges = np.array([0.0, window])
     nw = edges.shape[0] - 1
     busy = np.zeros(nw)
 
@@ -63,19 +63,17 @@ def utilization_trace(
 
 
 def mean_utilization(
-    timeline: Timeline, device: str,
-    t_start: float = 0.0, t_end: float | None = None,
+    timeline: Timeline, device: str, t_end: float | None = None,
 ) -> float:
-    """Overall busy fraction (%) of a device over ``[t_start, t_end]``."""
+    """Overall busy fraction (%) of a device over ``[0, t_end]``."""
     spans = timeline.device_spans(device)
     if t_end is None:
-        t_end = max((s.end for s in spans), default=t_start)
-    total = t_end - t_start
-    if total <= 0:
+        t_end = max((s.end for s in spans), default=0.0)
+    if t_end <= 0:
         return 0.0
     busy = sum(
-        max(0.0, min(s.end, t_end) - max(s.start, t_start))
+        max(0.0, min(s.end, t_end) - max(s.start, 0.0))
         for s in spans
         if s.busy
     )
-    return 100.0 * busy / total
+    return 100.0 * busy / t_end
