@@ -163,9 +163,7 @@ def distributed_memory_gather(
         # reply went missing stalls for timeout+backoff before the re-issue
         for requester in range(nr):
             injector.charge_gather_retries(
-                node.gpu_clock[requester],
-                phase="gather_retry",
-                node_id=node.node_id,
+                node.gpu_clock[requester], node.node_id
             )
     t4 = step_mark()
     trace.step_times["alltoallv_features"] = t4 - t3

@@ -115,9 +115,6 @@ class SampledSubgraph:
     def num_layers(self) -> int:
         return len(self.blocks)
 
-    def total_edges(self) -> int:
-        return sum(b.num_edges for b in self.blocks)
-
     def validate_prefix_property(self) -> None:
         """Assert each frontier prefixes the next (tests call this)."""
         for l in range(len(self.frontiers) - 1):

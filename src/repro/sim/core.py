@@ -268,10 +268,6 @@ class EventLoop:
             self._parked.remove(nxt)
             self._execute(nxt)
 
-    @property
-    def idle(self) -> bool:
-        return not self._parked
-
 
 class Stream:
     """A serial work queue on one device (or synthetic lane) clock.
