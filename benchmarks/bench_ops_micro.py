@@ -17,14 +17,14 @@ import numpy as np
 from repro.dsm.sparse_embedding import dedup_row_grads
 from repro.dsm.whole_tensor import WholeTensor
 from repro.hardware import SimNode
-from repro.nn import functional as F
 from repro.nn.layers import SAGEConv
 from repro.nn.tensor import Tensor
 from repro.ops.append_unique import append_unique
 from repro.ops.neighbor_sampler import LayerBlock
 from repro.ops.sampling import batch_sample_without_replacement
+from repro.ops.sddmm import gspmm_heads_backward
 from repro.ops.segment import scatter_add_rows, segment_sum
-from repro.ops.spmm import gspmm_backward_features, gspmm_sum
+from repro.ops.spmm import gspmm_backward_features, gspmm_heads, gspmm_sum
 
 RNG = np.random.default_rng(0)
 
@@ -98,14 +98,13 @@ def test_bench_gat_spmm_sum_forward_backward(benchmark):
     sizes = RNG.integers(1, 49, size=5_728)
     indptr = np.concatenate(([0], np.cumsum(sizes)))
     indices = RNG.integers(0, 6_000, size=int(indptr[-1]))
-    h = Tensor(RNG.standard_normal((6_000, 4, 64)).astype(np.float32),
-               requires_grad=True)
-    alpha = Tensor(RNG.random((indices.size, 4)).astype(np.float32),
-                   requires_grad=True)
+    h = RNG.standard_normal((6_000, 4, 64)).astype(np.float32)
+    alpha = RNG.random((indices.size, 4)).astype(np.float32)
     g = RNG.standard_normal((sizes.size, 4, 64)).astype(np.float32)
 
     def step():
-        F.spmm_sum(indptr, indices, h, alpha).backward(g)
+        gspmm_heads(indptr, indices, h, alpha)
+        gspmm_heads_backward(indptr, indices, g, h, alpha)
 
     benchmark(step)
 

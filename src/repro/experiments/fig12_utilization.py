@@ -87,8 +87,9 @@ def report(traces: list[UtilizationTrace]) -> str:
 
 def check_shape(traces: list[UtilizationTrace]) -> None:
     by_fw = {t.framework: t for t in traces}
-    # WholeGraph sustains >= 95%
+    # WholeGraph sustains >= 95%, in every window
     assert by_fw["WholeGraph"].mean >= 95.0, by_fw["WholeGraph"].mean
+    assert by_fw["WholeGraph"].minimum >= 95.0, by_fw["WholeGraph"].minimum
     # baselines fluctuate low; DGL/PyG mean far below WholeGraph's
     for fw in ("DGL", "PyG"):
         assert by_fw[fw].mean < 60.0, (fw, by_fw[fw].mean)

@@ -2,7 +2,8 @@
 
 A deliberately small tape-based autodiff: each op records its parents and a
 closure that returns their gradients; ``backward()`` walks the tape in
-reverse topological order.  Broadcasting in ``+``/``*`` is handled by
+reverse topological order and frees it as it goes, as PyTorch does, so
+only leaves keep ``.grad``.  Broadcasting in ``+``/``*`` is handled by
 summing gradients over broadcast axes (:func:`unbroadcast`).  A pullback
 returns ``None`` for a parent that needs no gradient instead of computing
 it, and each gradient array is held once (:meth:`Tensor.accumulate_grad`).
@@ -26,6 +27,14 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _walked(grad):
+    """The pullback a node keeps once :meth:`Tensor.backward` walked it."""
+    raise RuntimeError(
+        "backward() through a graph that was already walked: its pullbacks "
+        "and intermediate gradients have been freed"
+    )
 
 
 class Tensor:
@@ -82,10 +91,15 @@ class Tensor:
         ``grad`` defaults to ones (must be provided for non-scalar roots in
         principle, but ones is the useful convention for mean-losses too).
         A given ``grad`` is copied, so the caller keeps its array.
+
+        Once a node's pullback has handed its gradients on, the node drops
+        its ``.grad``, its parents and the pullback with every array it
+        kept; walking the graph again raises ``RuntimeError`` instead of
+        leaving the leaves' gradients untouched.
         """
         grad = (np.ones_like(self.data) if grad is None
                 else np.array(grad, dtype=np.float32))
-        # reverse topological order over the tape
+        # topological order over the tape, popped from the end
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -96,19 +110,23 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _walked:
+                _walked(None)  # before any gradient moves
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.accumulate_grad(grad)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is None or node.grad is None:
                 continue
             grads = node._backward(node.grad)
             for parent, g in zip(node._parents, grads):
                 if g is not None and parent.requires_grad:
                     parent.accumulate_grad(g)
+            node.grad, node._parents, node._backward = None, (), _walked
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -7,9 +7,11 @@ endpoints, "sampled" at the sparse adjacency pattern:
   g-SpMM with respect to edge weights (paper §III-C4), and the attention
   logits of transformer-style GNNs;
 - :func:`gsddmm_add` — ``z_e = u[dst_e] + v[src_e]`` — GAT's additive
-  attention, per head.
+  attention, per head;
+- :func:`gspmm_heads_backward` — both gradients of GAT's multi-head
+  weighted g-SpMM: the transposed g-SpMM per head and :func:`gsddmm_dot`.
 
-Both operate on the CSR layout (edges sorted by destination row).
+All three operate on the CSR layout (edges sorted by destination row).
 :func:`gsddmm_dot` streams the edges in blocks of :data:`BLOCK_EDGES`, so
 it never holds more than one block of gathered endpoint rows.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ops.segment import segment_ids_from_indptr
+from repro.ops.spmm import gspmm_backward_features
 
 #: Edges per :func:`gsddmm_dot` block.  Only one block's endpoint rows are
 #: gathered at a time: at GAT's ``(H, D) = (4, 64)`` that is 4 MiB per
@@ -58,3 +61,20 @@ def gsddmm_add(
     indices = np.asarray(csr_indices, dtype=np.int64)
     dst_ids = segment_ids_from_indptr(csr_indptr)
     return dst_values[dst_ids] + src_values[indices]
+
+
+def gspmm_heads_backward(
+    csr_indptr, csr_indices, grad_out: np.ndarray, features: np.ndarray,
+    edge_weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dL/dfeatures, dL/dweights)`` of
+    :func:`repro.ops.spmm.gspmm_heads` for the ``(T, H, D)`` output
+    gradient: one g-SpMM per head on the transposed CSR, and the blocked
+    g-SDDMM, so no ``(E, H, D)`` per-edge tensor exists."""
+    g_features = np.empty_like(features)
+    for k in range(features.shape[1]):
+        g_features[:, k] = gspmm_backward_features(
+            csr_indptr, csr_indices, grad_out[:, k], features.shape[0],
+            edge_weights[:, k],
+        )
+    return g_features, gsddmm_dot(csr_indptr, csr_indices, grad_out, features)

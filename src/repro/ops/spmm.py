@@ -68,6 +68,20 @@ def gspmm_sum(csr_indptr, csr_indices, features, edge_weights=None) -> np.ndarra
     return np.asarray(adj @ features)
 
 
+def gspmm_heads(csr_indptr, csr_indices, features, edge_weights) -> np.ndarray:
+    """Multi-head weighted g-SpMM (GAT's aggregation): ``(N, H, D)``
+    features and ``(E, H)`` weights give ``(T, H, D)``, one CSR SpMM per
+    head with head ``k``'s weights scaling ``features[:, k]``.  Its
+    backward is :func:`repro.ops.sddmm.gspmm_heads_backward`."""
+    out = np.empty((len(csr_indptr) - 1,) + features.shape[1:],
+                   dtype=np.float32)
+    for k in range(features.shape[1]):
+        out[:, k] = gspmm_sum(
+            csr_indptr, csr_indices, features[:, k], edge_weights[:, k]
+        )
+    return out
+
+
 def gspmm_mean(csr_indptr, csr_indices, features, edge_weights=None) -> np.ndarray:
     """Mean-aggregated message passing (GraphSage's aggregator)."""
     indptr = np.asarray(csr_indptr, dtype=np.int64)

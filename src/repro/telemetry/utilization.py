@@ -23,15 +23,16 @@ def utilization_trace(
     ``[0, t_end]``.
 
     ``window`` is the sampling period (``nvidia-smi`` polls ~1 s; the
-    experiments use a window that yields ~100 points per run).
+    experiments use a window that yields ~100 points per run).  The
+    windows cover ``[0, t_end]``, the last one partly if ``window`` does
+    not divide ``t_end``; ``window = t_end / k`` gives exactly ``k``
+    windows, whichever way the division rounds.
     """
     spans = timeline.device_spans(device)
     if t_end is None:
         t_end = max((s.end for s in spans), default=window)
-    edges = np.arange(0.0, t_end + window, window)
-    if edges.shape[0] < 2:
-        edges = np.array([0.0, window])
-    nw = edges.shape[0] - 1
+    nw = max(1, int(np.ceil(t_end / window * (1 - 1e-12))))
+    edges = np.arange(nw + 1) * window
     busy = np.zeros(nw)
 
     # vectorised distribution of every busy span over the windows it

@@ -115,8 +115,8 @@ def train_batch(
     replica, subgraph: SampledSubgraph, x: Tensor, batch, task
 ) -> Tensor:
     """The compute half: the replica model's forward, the task's loss and
-    the backward pass; returns the loss tensor, which holds the autograd
-    graph until the caller drops it.
+    the backward pass; returns the loss tensor, which holds only the scalar
+    loss: the backward has freed the graph behind it.
 
     Purely functional — charges no clocks and steps no optimizer; callers
     account the simulated train time themselves.  Dropout draws from the

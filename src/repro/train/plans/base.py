@@ -291,19 +291,9 @@ class ParallelismPlan:
         t = self.trainer
         factor = t.layer_cost_factor
         losses, trained = [], []
-        last = min(len(loaders), len(batches)) - 1
-        for j, (loader, batch, ahead) in enumerate(
-            zip(loaders, batches, upcoming)
-        ):
+        for loader, batch, ahead in zip(loaders, batches, upcoming):
             loss, costs = train_step(loader, batch, ahead, factor)
-            # at most one autograd graph stays alive: a replica's graph is
-            # freed once its backward has run (``del`` drops the loop
-            # variable, which would hold it through the next replica's
-            # step).  The last replica's graph lives to the round's end, as
-            # the link-prediction step always did: freeing it before the
-            # sparse update measurably slowed the recsys-linkpred benchmark
-            losses.append(loss if j == last else float(loss.data))
-            del loss
+            losses.append(float(loss.data))
             trained.append((loader, costs))
         self.sync_gradients(
             [(loader.replica, costs.ready_offsets(factor))
@@ -315,7 +305,6 @@ class ParallelismPlan:
         for loader, costs in trained:
             launch_train(loader, (costs.optimizer,), factor, 0.0)
         t._task.update(replicas)
-        losses[-1] = float(losses[-1].data)
         return losses
 
     def report_config(self) -> dict:

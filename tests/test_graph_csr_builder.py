@@ -49,6 +49,54 @@ def test_builder_dedup_removes_duplicates(case):
     assert len(pairs) == len(set(pairs))
 
 
+def lexsort_build(src, dst, num_nodes, undirected, remove_self_loops):
+    """The dedup build as a literal lexsort: sort by ``(src, dst)``, drop
+    exact repeats, count degrees with ``np.add.at``."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if undirected:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    if remove_self_loops:
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+    if src.size:
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        keep = np.empty(src.size, dtype=bool)
+        keep[0] = True
+        np.logical_or(
+            src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:]
+        )
+        src, dst = src[keep], dst[keep]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, dst
+
+
+@given(edges_strategy(), st.integers(0, 5), st.booleans(), st.booleans())
+def test_packed_key_dedup_matches_lexsort_reference(case, loops, undirected,
+                                                    remove_self_loops):
+    n, edges = case
+    # repeated pairs and self-loops in every case
+    edges = edges + edges[: len(edges) // 2] + [(v % n, v % n)
+                                                for v in range(loops)]
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    g = from_edge_list(src, dst, n, undirected=undirected, dedup=True,
+                       remove_self_loops=remove_self_loops)
+    indptr, indices = lexsort_build(src, dst, n, undirected,
+                                    remove_self_loops)
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+
+
+def test_builder_dedup_rejects_keys_past_int64():
+    # 3_037_000_500**2 > 2**63 - 1 >= 3_037_000_499**2
+    with pytest.raises(ValueError, match="int64"):
+        from_edge_list([0], [1], num_nodes=3_037_000_500)
+
+
 def test_builder_rejects_out_of_range():
     with pytest.raises(ValueError):
         from_edge_list([0], [5], num_nodes=3)

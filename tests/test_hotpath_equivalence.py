@@ -2,7 +2,7 @@
 
 Each vectorized kernel is checked against a straightforward loop reference:
 the sums on the one CSR g-SpMM — ``segment_sum``, ``scatter_add_rows`` and
-the weighted multi-head ``spmm_sum`` with its two gradients — must be
+GAT's weighted multi-head ``gspmm_heads`` with its two gradients — must be
 *bitwise* identical to float32 loops that add edge by edge from +0.0 (and
 to ``np.add.at``), the gather reply assembly must
 reproduce the loop-built replies and byte accounting, the batched
@@ -25,8 +25,6 @@ from hypothesis import strategies as st
 from repro.dsm.comm import Communicator
 from repro.dsm.whole_tensor import WholeTensor
 from repro.hardware import SimNode
-from repro.nn import functional as F
-from repro.nn.tensor import Tensor
 from repro.ops import neighbor_sampler
 from repro.ops.append_unique import (
     AppendUniqueResult,
@@ -36,8 +34,9 @@ from repro.ops.append_unique import (
 from repro.ops.gather import distributed_memory_gather
 from repro.ops.hashtable import EMPTY_KEY, GpuHashTable
 from repro.ops.sampling import batch_sample_without_replacement
-from repro.ops.sddmm import BLOCK_EDGES
+from repro.ops.sddmm import BLOCK_EDGES, gspmm_heads_backward
 from repro.ops.segment import scatter_add_rows, segment_sum
+from repro.ops.spmm import gspmm_heads
 from repro.utils.scan import exclusive_prefix_sum
 
 # ---------------------------------------------------------------------------
@@ -138,16 +137,14 @@ def test_weighted_multihead_spmm_sum_bitwise_matches_loops(num_edges,
     h = rng.standard_normal((nsrc, num_heads, head_dim)).astype(np.float32)
     g = rng.standard_normal((40, num_heads, head_dim)).astype(np.float32)
 
-    a_t = Tensor(alpha, requires_grad=True)
-    h_t = Tensor(h, requires_grad=True)
-    out = F.spmm_sum(indptr, indices, h_t, a_t)
-    out.backward(g)
+    out = gspmm_heads(indptr, indices, h, alpha)
+    g_h, g_alpha = gspmm_heads_backward(indptr, indices, g, h, alpha)
     ref_out, ref_ga, ref_gh = _weighted_spmm_loops(
         indptr, indices, alpha, h, g
     )
-    assert np.array_equal(_bits(out.data), _bits(ref_out))
-    assert np.array_equal(_bits(a_t.grad), _bits(ref_ga))
-    assert np.array_equal(_bits(h_t.grad), _bits(ref_gh))
+    assert np.array_equal(_bits(out), _bits(ref_out))
+    assert np.array_equal(_bits(g_alpha), _bits(ref_ga))
+    assert np.array_equal(_bits(g_h), _bits(ref_gh))
 
 
 def test_segment_sum_empty_segments_and_edges():

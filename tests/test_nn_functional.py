@@ -1,13 +1,16 @@
-"""Functional ops: activations, losses and the graph autograd ops."""
+"""Functional ops (activations, losses), the taped graph ops kept as the
+convs' oracle in ``tests/taped_reference.py``, and the one-op convs:
+finite differences, and ``uint32`` bits against the taped composition."""
 
 import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.layers import SAGEConv
+from repro.nn.layers import GATConv, GCNConv, SAGEConv
 from repro.nn.tensor import Tensor
 from repro.ops.neighbor_sampler import LayerBlock
 from repro.train import WholeGraphTrainer
+from tests import taped_reference as R
 from tests.test_nn_tensor import backward_peak_bytes, bits, numeric_grad
 
 
@@ -25,14 +28,14 @@ def x(rng):
 
 def test_relu_leaky_elu_grads(x):
     grad_close(lambda t: F.relu(t).sum(), x)
-    grad_close(lambda t: F.leaky_relu(t, 0.1).sum(), x)
+    grad_close(lambda t: R.leaky_relu(t, 0.1).sum(), x)
     grad_close(lambda t: F.elu(t).sum(), x)
 
 
 def test_relu_forward_values():
     out = F.relu(Tensor([[-1.0, 2.0]]))
     assert out.data.tolist() == [[0.0, 2.0]]
-    out = F.leaky_relu(Tensor([[-1.0, 2.0]]), 0.2)
+    out = R.leaky_relu(Tensor([[-1.0, 2.0]]), 0.2)
     assert np.allclose(out.data, [[-0.2, 2.0]])
 
 
@@ -108,11 +111,11 @@ def test_cross_entropy_grad(x):
 def test_gather_and_slice_rows_grads(x):
     rows = np.array([0, 2, 2, 4])
     grad_close(lambda t: (F.gather_rows(t, rows) ** 2.0).sum(), x)
-    grad_close(lambda t: (F.slice_rows(t, 3) * 3.0).sum(), x)
+    grad_close(lambda t: (R.slice_rows(t, 3) * 3.0).sum(), x)
 
 
 def test_slice_rows_is_prefix(x):
-    out = F.slice_rows(Tensor(x), 2)
+    out = R.slice_rows(Tensor(x), 2)
     assert np.array_equal(out.data, x[:2])
 
 
@@ -126,7 +129,7 @@ def csr():
 def test_spmm_sum_grad(csr, x):
     indptr, indices = csr
     grad_close(
-        lambda t: (F.spmm_sum(indptr, indices, t) ** 2.0).sum(), x
+        lambda t: (R.spmm_sum(indptr, indices, t) ** 2.0).sum(), x
     )
 
 
@@ -135,17 +138,17 @@ def test_spmm_sum_weighted_grads(csr, x, rng):
     w = rng.standard_normal(5).astype(np.float32)
     grad_close(
         lambda t: (
-            F.spmm_sum(indptr, indices, t, edge_weights=Tensor(w)) ** 2.0
+            R.spmm_sum(indptr, indices, t, edge_weights=Tensor(w)) ** 2.0
         ).sum(),
         x,
     )
     # gradient w.r.t. weights is the g-SDDMM
     wt = Tensor(w, requires_grad=True)
     xs = Tensor(x)
-    (F.spmm_sum(indptr, indices, xs, edge_weights=wt) ** 2.0).sum().backward()
+    (R.spmm_sum(indptr, indices, xs, edge_weights=wt) ** 2.0).sum().backward()
     num = numeric_grad(
         lambda: float(
-            (F.spmm_sum(indptr, indices, xs, edge_weights=Tensor(w)) ** 2.0)
+            (R.spmm_sum(indptr, indices, xs, edge_weights=Tensor(w)) ** 2.0)
             .sum().data
         ),
         w,
@@ -156,7 +159,7 @@ def test_spmm_sum_weighted_grads(csr, x, rng):
 def test_spmm_mean_grad(csr, x):
     indptr, indices = csr
     grad_close(
-        lambda t: (F.spmm_mean(indptr, indices, t) ** 2.0).sum(), x
+        lambda t: (R.spmm_mean(indptr, indices, t) ** 2.0).sum(), x
     )
 
 
@@ -164,13 +167,13 @@ def test_edge_softmax_grad(csr, rng):
     indptr, indices = csr
     logits = rng.standard_normal((5, 2)).astype(np.float32)
     grad_close(
-        lambda t: (F.edge_softmax(indptr, t) ** 2.0).sum(), logits
+        lambda t: (R.edge_softmax(indptr, t) ** 2.0).sum(), logits
     )
 
 
 def test_edge_softmax_normalised_per_target(csr, rng):
     indptr, _ = csr
-    alpha = F.edge_softmax(indptr, Tensor(rng.standard_normal((5, 3))))
+    alpha = R.edge_softmax(indptr, Tensor(rng.standard_normal((5, 3))))
     assert np.allclose(alpha.data[0:2].sum(axis=0), 1.0, atol=1e-5)
     assert np.allclose(alpha.data[2:5].sum(axis=0), 1.0, atol=1e-5)
 
@@ -181,13 +184,13 @@ def test_edge_gather_add_grads(csr, rng):
     src = rng.standard_normal((5, 2)).astype(np.float32)
     grad_close(
         lambda t: (
-            F.edge_gather_add(indptr, indices, t, Tensor(src)) ** 2.0
+            R.edge_gather_add(indptr, indices, t, Tensor(src)) ** 2.0
         ).sum(),
         dst,
     )
     grad_close(
         lambda t: (
-            F.edge_gather_add(indptr, indices, Tensor(dst), t) ** 2.0
+            R.edge_gather_add(indptr, indices, Tensor(dst), t) ** 2.0
         ).sum(),
         src,
     )
@@ -200,11 +203,11 @@ def test_gat_aggregate_grads(csr, rng):
     alpha = rng.random((5, 2)).astype(np.float32)
     feat = rng.standard_normal((5, 2, 3)).astype(np.float32)
     grad_close(
-        lambda t: (F.spmm_sum(indptr, indices, Tensor(feat), t) ** 2.0).sum(),
+        lambda t: (R.spmm_sum(indptr, indices, Tensor(feat), t) ** 2.0).sum(),
         alpha,
     )
     grad_close(
-        lambda t: (F.spmm_sum(indptr, indices, t, Tensor(alpha)) ** 2.0).sum(),
+        lambda t: (R.spmm_sum(indptr, indices, t, Tensor(alpha)) ** 2.0).sum(),
         feat,
     )
 
@@ -216,12 +219,12 @@ def test_gat_aggregate_unit_weights_grad(rng):
     indices = np.array([1, 1, 0, 3, 1])
     ones = np.ones((5, 2), dtype=np.float32)
     feat = rng.standard_normal((4, 2, 3)).astype(np.float32)
-    out = F.spmm_sum(indptr, indices, Tensor(feat), Tensor(ones))
+    out = R.spmm_sum(indptr, indices, Tensor(feat), Tensor(ones))
     assert out.data.shape == (3, 2, 3)
     assert np.allclose(out.data[1], 0.0)
     assert np.allclose(out.data[0], 2 * feat[1])
     grad_close(
-        lambda t: (F.spmm_sum(indptr, indices, t, Tensor(ones)) ** 2.0).sum(),
+        lambda t: (R.spmm_sum(indptr, indices, t, Tensor(ones)) ** 2.0).sum(),
         feat,
     )
 
@@ -245,3 +248,104 @@ def test_sage_layer0_backward_skips_the_input_gradient(rng):
     target_rows_bytes = num_targets * in_features * 4
     assert backward_peak_bytes(loss) < target_rows_bytes // 4
     assert all(p.grad is not None for p in conv.parameters())
+
+
+def test_elu_bitwise_matches_its_kept_derivative(rng):
+    """The ELU that reads its slope off the output against the one that
+    kept ``dgrad``, on ±0, ±inf, NaN, tiny negatives and normals."""
+    special = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -1e-45, -1e-38, -1e-8, 1e-45],
+        dtype=np.float32,
+    )
+    x_np = np.concatenate((special, rng.standard_normal(64).astype(np.float32)))
+    g = rng.standard_normal(x_np.shape).astype(np.float32)
+    for alpha in (1.0, 0.5, 0.0):
+        x, rx = (Tensor(x_np, requires_grad=True) for _ in range(2))
+        out, ref = F.elu(x, alpha), R.elu(rx, alpha)
+        out.backward(g)
+        ref.backward(g)
+        assert np.array_equal(bits(out.data), bits(ref.data))
+        assert np.array_equal(bits(x.grad), bits(rx.grad))
+    with pytest.raises(ValueError, match="alpha"):
+        F.elu(Tensor(x_np), -1.0)
+
+
+# -- each conv is one taped op ------------------------------------------------
+
+CONVS = {
+    "gcn": (lambda rng: GCNConv(4, 6, rng), R.gcn_forward),
+    "sage": (lambda rng: SAGEConv(4, 6, rng), R.sage_forward),
+    "gat-4-heads": (lambda rng: GATConv(4, 8, rng, num_heads=4),
+                    R.gat_forward),
+    "gat-1-head": (lambda rng: GATConv(4, 6, rng, num_heads=1),
+                   R.gat_forward),
+}
+
+
+def random_block(rng, num_targets: int, num_src: int,
+                 max_degree: int) -> LayerBlock:
+    """A block with empty segments and repeated sources."""
+    sizes = rng.integers(0, max_degree + 1, size=num_targets)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    indices = rng.integers(0, num_src, size=int(indptr[-1]))
+    return LayerBlock(
+        indptr=indptr, indices=indices, num_targets=num_targets,
+        num_src=num_src,
+        duplicate_counts=np.bincount(indices, minlength=num_src),
+    )
+
+
+def randomized(conv, rng):
+    """The conv with every parameter (biases too) drawn at random."""
+    for p in conv.parameters():
+        p.data[...] = rng.standard_normal(p.data.shape)
+    return conv
+
+
+@pytest.mark.parametrize("name", sorted(CONVS))
+def test_conv_grads_match_finite_differences(rng, name):
+    """The one-op conv's input and parameter gradients against central
+    finite differences."""
+    conv = randomized(CONVS[name][0](rng), rng)
+    block = random_block(rng, 3, 5, 3)
+    x_np = rng.standard_normal((5, 4)).astype(np.float32)
+    c = rng.standard_normal((3, conv.out_features)).astype(np.float32)
+
+    def loss(t):
+        return (conv(block, t) * Tensor(c)).sum()
+
+    grad_close(loss, x_np)
+    conv.zero_grad()
+    loss(Tensor(x_np)).backward()
+    for p in conv.parameters():
+        num = numeric_grad(lambda: float(loss(Tensor(x_np)).data), p.data)
+        assert np.allclose(p.grad, num, atol=2e-2), np.abs(p.grad - num).max()
+
+
+@pytest.mark.parametrize("x_needs_grad", [True, False])
+@pytest.mark.parametrize("name", sorted(CONVS))
+def test_conv_bitwise_matches_taped_composition(rng, name, x_needs_grad):
+    """Output and every gradient of the one-op conv against the taped
+    composition it replaced, as ``uint32`` bits."""
+    make, reference = CONVS[name]
+    conv = randomized(make(rng), rng)
+    block = random_block(rng, 40, 70, 9)
+    x_np = rng.standard_normal((70, 4)).astype(np.float32)
+    g = rng.standard_normal((40, conv.out_features)).astype(np.float32)
+
+    x = Tensor(x_np, requires_grad=x_needs_grad)
+    out = conv(block, x)
+    out.backward(g)
+    grads = [p.grad for p in conv.parameters()]
+    conv.zero_grad()
+    rx = Tensor(x_np, requires_grad=x_needs_grad)
+    ref = reference(conv, block, rx)
+    ref.backward(g)
+
+    assert np.array_equal(bits(out.data), bits(ref.data))
+    for got, p in zip(grads, conv.parameters()):
+        assert np.array_equal(bits(got), bits(p.grad))
+    if x_needs_grad:
+        assert np.array_equal(bits(x.grad), bits(rx.grad))
+    else:
+        assert x.grad is None and rx.grad is None

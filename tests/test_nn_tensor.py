@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.nn.linear import Linear
-from repro.nn.tensor import Tensor, unbroadcast
+from repro.nn.tensor import Tensor, _walked, unbroadcast
+from repro.train import WholeGraphTrainer
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -132,11 +133,46 @@ def test_deep_chain_no_recursion_limit():
 # -- gradient ownership: each gradient array is held once ---------------------
 # A tensor with a pullback keeps the first gradient it receives without a
 # copy, so one array can reach several nodes; every later contribution must
-# be added out of place, and a leaf must own its ``.grad``.
+# be added out of place, and a leaf must own its ``.grad``.  Backward frees
+# a node's ``.grad`` once its pullback has run, so the tests read the array
+# each pullback received, and check after backward that nothing wrote into
+# any of them.
+
+
+@pytest.fixture
+def received(monkeypatch):
+    """Record, per tensor, the gradient array its pullback received.
+
+    ``received(t)`` returns that array after checking it still holds what
+    it held on receipt; ``received.all_unchanged()`` checks every one.
+    """
+    seen = {}
+    make = Tensor._make
+
+    def recording_make(data, parents, backward):
+        def pullback(g):
+            seen[out] = (g, g.copy())
+            return backward(g)
+
+        out = make(data, parents, pullback)
+        return out  # ``pullback`` reads ``out`` when backward calls it
+
+    class Received:
+        def __call__(self, t):
+            g, on_receipt = seen[t]
+            assert np.array_equal(g, on_receipt)
+            return g
+
+        def all_unchanged(self):
+            return all(np.array_equal(g, c) for g, c in seen.values())
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
+    return Received()
 
 
 @pytest.mark.parametrize("x_first", [True, False])
-def test_shared_gradient_survives_a_second_contribution(rng, x_first):
+def test_shared_gradient_survives_a_second_contribution(rng, received,
+                                                        x_first):
     """``x + y`` hands one array to both parents; ``x`` then receives a
     second contribution (before or after, by term order), which must leave
     ``y``'s gradient and the sum's own gradient unchanged."""
@@ -156,8 +192,9 @@ def test_shared_gradient_survives_a_second_contribution(rng, x_first):
     b = Tensor(b_np, requires_grad=True)
     loss, x, y, s = build(a, b)
     loss.backward()
-    assert np.array_equal(s.grad, c) and np.array_equal(y.grad, c)
-    assert np.array_equal(x.grad, c + d)
+    assert np.array_equal(received(s), c) and np.array_equal(received(y), c)
+    assert np.array_equal(received(x), c + d)
+    assert received.all_unchanged()
     for leaf, value in ((a, a_np), (b, b_np)):
         num = numeric_grad(
             lambda: float(build(Tensor(a_np), Tensor(b_np))[0].data), value
@@ -165,7 +202,7 @@ def test_shared_gradient_survives_a_second_contribution(rng, x_first):
         assert np.allclose(leaf.grad, num, atol=2e-2)
 
 
-def test_reshape_view_gradient_survives_a_second_contribution(rng):
+def test_reshape_view_gradient_survives_a_second_contribution(rng, received):
     """``h.reshape`` hands ``h`` a view of its own gradient; ``h``'s second
     contribution must not write through it."""
     a_np = rng.standard_normal((4, 3)).astype(np.float32)
@@ -180,13 +217,14 @@ def test_reshape_view_gradient_survives_a_second_contribution(rng):
     a = Tensor(a_np, requires_grad=True)
     loss, h, r = build(a)
     loss.backward()
-    assert np.array_equal(r.grad, c)
-    assert np.array_equal(h.grad, c.reshape(4, 3) + d)
+    assert np.array_equal(received(r), c)
+    assert np.array_equal(received(h), c.reshape(4, 3) + d)
+    assert received.all_unchanged()
     num = numeric_grad(lambda: float(build(Tensor(a_np))[0].data), a_np)
     assert np.allclose(a.grad, num, atol=2e-2)
 
 
-def test_tensor_used_twice_gets_its_own_sum(rng):
+def test_tensor_used_twice_gets_its_own_sum(rng, received):
     """``y + y`` hands ``y`` the same array twice: ``y`` sums the two out
     of place, and the sum node keeps its own gradient."""
     a_np, c = (rng.standard_normal((4, 3)).astype(np.float32) for _ in range(2))
@@ -194,12 +232,13 @@ def test_tensor_used_twice_gets_its_own_sum(rng):
     y = a * 2.0
     s = y + y
     (s * Tensor(c)).sum().backward()
-    assert np.array_equal(s.grad, c)
-    assert np.array_equal(y.grad, c + c)
+    assert np.array_equal(received(s), c)
+    assert np.array_equal(received(y), c + c)
+    assert received.all_unchanged()
     assert np.array_equal(a.grad, (c + c) * np.float32(2.0))
 
 
-def test_leaves_never_share_a_grad_array(rng):
+def test_leaves_never_share_a_grad_array(rng, received):
     """Two leaves handed one array each copy it: scaling one leaf's
     ``.grad`` in place leaves the other leaf and the tape unchanged."""
     a_np, b_np, c = (
@@ -211,20 +250,84 @@ def test_leaves_never_share_a_grad_array(rng):
     (s * Tensor(c)).sum().backward()
     assert not np.shares_memory(a.grad, b.grad)
     a.grad *= 2
-    assert np.array_equal(b.grad, c) and np.array_equal(s.grad, c)
+    assert np.array_equal(b.grad, c) and np.array_equal(received(s), c)
     assert np.array_equal(a.grad, c * np.float32(2.0))
 
 
-def test_backward_copies_an_explicit_seed(rng):
+def test_backward_copies_an_explicit_seed(rng, received):
     a = Tensor(rng.standard_normal((4, 3)).astype(np.float32),
                requires_grad=True)
     out = a * 3.0
     seed = rng.standard_normal((4, 3)).astype(np.float32)
     out.backward(seed)
-    assert not np.shares_memory(out.grad, seed)
+    assert not np.shares_memory(received(out), seed)
     expected = seed.copy()
     seed[...] = 0
-    assert np.array_equal(out.grad, expected)
+    assert np.array_equal(received(out), expected)
+
+
+# -- the tape is freed as backward walks it ------------------------------------
+
+
+def test_backward_frees_every_non_leaf(rng):
+    """Only leaves keep ``.grad``; each walked node drops its gradient,
+    parents and pullback, and the leaves' gradients are unchanged."""
+    a_np, c = (rng.standard_normal((4, 3)).astype(np.float32) for _ in range(2))
+    a = Tensor(a_np, requires_grad=True)
+    y = a * 2.0
+    s = (y + y.reshape(4, 3)) * Tensor(c)
+    loss = s.sum()
+    loss.backward()
+    for t in (y, s, loss):
+        assert t.grad is None and t._parents == () and t._backward is _walked
+    assert np.array_equal(a.grad, (c + c) * np.float32(2.0))
+
+
+def test_second_backward_through_a_walked_graph_raises(rng):
+    """A walked graph has no pullbacks left: walking it again raises
+    instead of leaving the leaves' gradients untouched."""
+    a = Tensor(rng.standard_normal((4, 3)).astype(np.float32),
+               requires_grad=True)
+    y = a * 2.0
+    loss = (y * y).sum()
+    loss.backward()
+    first = a.grad.copy()
+    with pytest.raises(RuntimeError, match="already walked"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="already walked"):
+        (y * 3.0).sum().backward()  # a new root over a walked node
+    assert np.array_equal(a.grad, first)
+
+
+@pytest.mark.parametrize("model", ["gcn", "graphsage", "gat"])
+def test_a_training_step_leaves_no_tape(small_store, monkeypatch, model):
+    """After one step, no tensor the step taped keeps ``.grad``, a pullback
+    or parents, and each conv is one taped node."""
+    trainer = WholeGraphTrainer(small_store, model, seed=0, batch_size=32,
+                                fanouts=[5, 5], hidden=16)
+    taped, per_conv = [], []
+    make = Tensor._make
+
+    def recording_make(data, parents, backward):
+        out = make(data, parents, backward)
+        if out.requires_grad:
+            taped.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
+    for conv in trainer.model.convs:
+        def counted(block, x, forward=conv.forward):
+            before = len(taped)
+            out = forward(block, x)
+            per_conv.append(len(taped) - before)
+            return out
+
+        monkeypatch.setattr(conv, "forward", counted)
+    trainer.train_epoch(max_iterations=1)
+    assert taped and per_conv == [1] * len(trainer.model.convs)
+    for t in taped:
+        assert t.grad is None and t._parents == () and t._backward is _walked
+    assert all(p.grad is not None for p in trainer.model.parameters())
 
 
 # -- only needed gradients: Linear is one taped op ----------------------------

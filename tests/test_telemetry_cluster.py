@@ -39,6 +39,19 @@ def test_utilization_trace_partial_window_overlap():
     assert u[0] == pytest.approx(50.0)
 
 
+def test_trace_of_a_fully_busy_device_reads_100_in_every_window():
+    """``window = t_end / k`` gives exactly ``k`` windows, each 100 % busy,
+    however ``t_end / window`` rounds."""
+    rng = np.random.default_rng(0)
+    for t_end in rng.uniform(1e-4, 10.0, size=2000):
+        tl = Timeline()
+        SimClock("gpu0", tl).advance(t_end, phase="train")
+        for k in (1, 7, 60):
+            _, u = utilization_trace(tl, "gpu0", t_end / k, t_end=t_end)
+            assert u.shape == (k,), (t_end, k)
+            assert np.allclose(u, 100.0), (t_end, k, u.min())
+
+
 def test_fully_busy_device_hits_100():
     tl = Timeline()
     c = SimClock("gpu0", tl)
